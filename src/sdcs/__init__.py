@@ -29,15 +29,9 @@ from .experiments import (
     sweep_records_to_csv,
 )
 from .linalg import (
-    SvdFactors,
     least_squares,
-    matmul,
-    operator_norm,
     pseudoinverse,
     read_matrix_text,
-    sigma_j,
-    sigma_min,
-    svd,
     write_matrix_text,
 )
 from .measurement import Ensemble, SparseSignal, sample_matrix, sample_sparse_signal
@@ -56,8 +50,6 @@ from .recovery import (
     bpdn_solve,
     full_pipeline,
     projection_dim,
-    reconstruction_error_bound,
-    sobolev_dual,
     sobolev_reconstruct,
     support_from,
 )

@@ -18,6 +18,7 @@ import sys
 import numpy as np
 
 from .experiments import (
+    _fmt,
     build_sweep_config,
     parse_config_text,
     read_sweep_csv,
@@ -50,16 +51,16 @@ def _read(path: str) -> str:
         return fh.read()
 
 
-def _fmt(x: float) -> str:
-    return repr(float(x))
-
-
 def _cmd_gen(args) -> int:
     rng = RngStream(args.seed)
     if args.kind == "matrix":
+        if args.m is None:
+            raise SystemExit("gen: --kind matrix needs --m")
         phi = sample_matrix(Ensemble(args.ensemble), args.m, args.n, rng)
         _write(write_matrix_text(phi), args.out)
     else:
+        if args.s is None or args.floor is None:
+            raise SystemExit("gen: --kind signal needs --s and --floor")
         cap = args.cap if args.cap is not None else 10.0 * args.floor
         signal = sample_sparse_signal(args.n, args.s, args.floor, cap, rng)
         _write(write_matrix_text(signal.to_dense().reshape(-1, 1)), args.out)
@@ -127,8 +128,11 @@ def _cmd_ripscan(args) -> int:
         a = sample_matrix(Ensemble(args.ensemble), args.m, args.n,
                           RngStream(args.seed).substream("ripscan-matrix"))
     if args.project is not None:
-        r_str, _, ell_str = args.project.partition(",")
-        r, ell = int(r_str), int(ell_str)
+        try:
+            r_str, ell_str = args.project.split(",")
+            r, ell = int(r_str), int(ell_str)
+        except ValueError:
+            raise SystemExit("ripscan: --project takes R,ELL with integers R and ELL") from None
         if r not in _ORDER_CHOICES:
             raise SystemExit("ripscan: projection order must be 1, 2, or 3")
         a = projected_matrix(a, r, ell)

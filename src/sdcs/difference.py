@@ -5,8 +5,8 @@ subdiagonal); its inverse is the running-sum operator.  Inverse powers
 have an exact integer-valued closed form: entry (i, j) of the r-th
 inverse power is binomial(i - j + r - 1, r - 1) for i >= j.
 
-SVDs of inverse powers are cached per (m, r) since sweeps reuse them
-across many trials.
+Inverse powers and their singular values and right singular vectors are
+cached per (m, r) since sweeps reuse them across many trials.
 """
 
 from __future__ import annotations
@@ -15,8 +15,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-
-from .linalg import SvdFactors, svd
 
 
 def difference_matrix(m: int) -> np.ndarray:
@@ -45,31 +43,33 @@ def inverse_difference_power(m: int, r: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class DifferencePower:
-    """Inverse difference power together with its cached SVD."""
+    """Inverse difference power with its singular values s (non-increasing)
+    and the matching right singular vectors as the rows of vt."""
 
     m: int
     r: int
     inv_power: np.ndarray
-    factors: SvdFactors
+    s: np.ndarray
+    vt: np.ndarray
 
 
 @lru_cache(maxsize=None)
 def difference_power(m: int, r: int) -> DifferencePower:
-    """Cached inverse power and SVD for dimension m, order r.
+    """Cached inverse power, singular values and V^T for dimension m, order r.
 
     The returned arrays are marked read-only; they are shared across
     callers and threads.
     """
     inv = inverse_difference_power(m, r)
-    f = svd(inv)
-    for arr in (inv, f.u, f.s, f.v):
+    _, s, vt = np.linalg.svd(inv, full_matrices=False)
+    for arr in (inv, s, vt):
         arr.setflags(write=False)
-    return DifferencePower(m=m, r=r, inv_power=inv, factors=f)
+    return DifferencePower(m=m, r=r, inv_power=inv, s=s, vt=vt)
 
 
 def singular_profile(m: int, r: int) -> np.ndarray:
     """Singular values of the r-th inverse difference power, non-increasing."""
-    return difference_power(m, r).factors.s.copy()
+    return difference_power(m, r).s.copy()
 
 
 def projected_basis(m: int, r: int, ell: int) -> np.ndarray:
@@ -80,4 +80,4 @@ def projected_basis(m: int, r: int, ell: int) -> np.ndarray:
     """
     if not 1 <= ell <= m:
         raise ValueError(f"need 1 <= ell <= m, got ell={ell}, m={m}")
-    return difference_power(m, r).factors.v.T[:ell].copy()
+    return difference_power(m, r).vt[:ell].copy()

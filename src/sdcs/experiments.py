@@ -143,10 +143,11 @@ def run_decay_sweep(cfg: SweepConfig, *, k_floor: float = 1.0) -> list[SweepReco
 
 
 def _fmt(value) -> str:
+    """Round-trip-exact text for a CSV cell; numpy floats print as plain floats."""
     if isinstance(value, bool):
         return "1" if value else "0"
     if isinstance(value, float):
-        return repr(value)
+        return repr(float(value))
     return str(value)
 
 

@@ -8,8 +8,6 @@ package relies on, not any particular algorithm.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 
@@ -37,55 +35,6 @@ def as_vector(a, name: str = "vector") -> np.ndarray:
     return v
 
 
-@dataclass(frozen=True)
-class SvdFactors:
-    """Thin SVD a = u @ diag(s) @ v.T with s non-increasing.
-
-    u and v have orthonormal columns; s is non-negative.
-    """
-
-    u: np.ndarray
-    s: np.ndarray
-    v: np.ndarray
-
-
-def matmul(a, b) -> np.ndarray:
-    """Matrix product with explicit dimension checking."""
-    a = as_matrix(a, "a")
-    b = as_matrix(b, "b")
-    if a.shape[1] != b.shape[0]:
-        raise ValueError(f"dimension mismatch: {a.shape} @ {b.shape}")
-    return a @ b
-
-
-def svd(a) -> SvdFactors:
-    """Thin singular value decomposition of a dense real matrix."""
-    a = as_matrix(a)
-    u, s, vh = np.linalg.svd(a, full_matrices=False)
-    return SvdFactors(u=u, s=s, v=vh.T)
-
-
-def sigma_j(a, j: int) -> float:
-    """j-th largest singular value, 1-based (j=1 is the largest)."""
-    a = as_matrix(a)
-    k = min(a.shape)
-    if not 1 <= j <= k:
-        raise ValueError(f"index j={j} out of range 1..{k}")
-    return float(np.linalg.svd(a, compute_uv=False)[j - 1])
-
-
-def sigma_min(a) -> float:
-    """Smallest singular value."""
-    a = as_matrix(a)
-    return float(np.linalg.svd(a, compute_uv=False)[-1])
-
-
-def operator_norm(a) -> float:
-    """Largest singular value (the l2 -> l2 operator norm)."""
-    a = as_matrix(a)
-    return float(np.linalg.svd(a, compute_uv=False)[0])
-
-
 def pseudoinverse(a, rel_tol: float = 1e-12) -> np.ndarray:
     """Moore-Penrose pseudoinverse via SVD.
 
@@ -94,10 +43,10 @@ def pseudoinverse(a, rel_tol: float = 1e-12) -> np.ndarray:
     a = as_matrix(a)
     if not 0.0 < rel_tol < 1.0:
         raise ValueError("rel_tol must lie in (0, 1)")
-    f = svd(a)
-    cutoff = rel_tol * (f.s[0] if f.s.size else 0.0)
-    inv_s = np.where(f.s > cutoff, 1.0 / np.where(f.s > cutoff, f.s, 1.0), 0.0)
-    return (f.v * inv_s) @ f.u.T
+    u, s, vh = np.linalg.svd(a, full_matrices=False)
+    cutoff = rel_tol * (s[0] if s.size else 0.0)
+    inv_s = np.where(s > cutoff, 1.0 / np.where(s > cutoff, s, 1.0), 0.0)
+    return (vh.T * inv_s) @ u.T
 
 
 def least_squares(a, b) -> np.ndarray:

@@ -60,49 +60,6 @@ class BpdnResult:
     gap: float
 
 
-def _power_method_norm(phi: np.ndarray) -> float:
-    """Estimate of the largest singular value by power iteration on phi^T phi."""
-    n = phi.shape[1]
-    v = 1.0 + 1e-3 * np.arange(n)
-    v /= np.linalg.norm(v)
-    lam = 0.0
-    for _ in range(200):
-        w = phi.T @ (phi @ v)
-        nw = np.linalg.norm(w)
-        if nw == 0.0:
-            break
-        v = w / nw
-        if abs(nw - lam) <= 1e-13 * max(nw, 1.0):
-            lam = nw
-            break
-        lam = nw
-    if lam == 0.0:
-        # Start vector may sit in the null space; probe canonical directions.
-        for j in range(n):
-            col = phi[:, j]
-            if np.any(col != 0.0):
-                return _power_method_from(phi, j)
-        return 0.0
-    return math.sqrt(lam)
-
-
-def _power_method_from(phi: np.ndarray, j: int) -> float:
-    v = np.zeros(phi.shape[1])
-    v[j] = 1.0
-    lam = 0.0
-    for _ in range(200):
-        w = phi.T @ (phi @ v)
-        nw = np.linalg.norm(w)
-        if nw == 0.0:
-            break
-        v = w / nw
-        if abs(nw - lam) <= 1e-13 * max(nw, 1.0):
-            lam = nw
-            break
-        lam = nw
-    return math.sqrt(lam)
-
-
 def _soft_threshold(w: np.ndarray, t: float) -> np.ndarray:
     return np.sign(w) * np.maximum(np.abs(w) - t, 0.0)
 
@@ -112,7 +69,8 @@ def bpdn_solve(phi, q, cfg: BpdnConfig) -> BpdnResult:
 
     Alternates a proximal step on the l1 objective with a projection of
     the dual variable onto the epsilon-ball around q, using equal step
-    sizes set from a power-method estimate of ||phi||.  Stops when the
+    sizes set from the exact ||phi||, the square root of the largest
+    eigenvalue of the smaller Gram matrix.  Stops when the
     relative primal change drops below primal_tol and the constraint
     violation below dual_tol, or at the iteration cap (then
     ``converged=False`` and the best iterate is returned).
@@ -131,15 +89,15 @@ def bpdn_solve(phi, q, cfg: BpdnConfig) -> BpdnResult:
         # Zero is feasible and has minimal possible l1 norm.
         return BpdnResult(x=np.zeros(n), converged=True, iterations=0, violation=0.0, gap=0.0)
 
-    opnorm = _power_method_norm(phi)
+    gram = phi @ phi.T if m <= n else phi.T @ phi
+    opnorm = math.sqrt(np.linalg.eigvalsh(gram)[-1])
     if opnorm == 0.0:
         # phi is the zero matrix and q is outside the ball: infeasible.
         return BpdnResult(
             x=np.zeros(n), converged=False, iterations=0,
             violation=float(np.linalg.norm(q) - eps), gap=math.inf,
         )
-    step = 0.995 / (1.02 * opnorm)  # tau = sigma = step; tau*sigma*||phi||^2 < 1
-    tau = sigma = step
+    tau = sigma = 0.995 / opnorm  # tau*sigma*||phi||^2 < 1
 
     x = np.zeros(n)
     px = np.zeros(m)        # phi @ x
@@ -203,27 +161,15 @@ def _check_support(support, m: int, n: int) -> np.ndarray:
     return np.sort(t)
 
 
-def sobolev_dual(phi_t, r: int) -> np.ndarray:
-    """Noise-shaping left inverse of phi_t for feedback order r.
-
-    Among all left inverses L of phi_t, this one minimizes the operator
-    norm of L composed with the r-th difference power; explicitly
-    L = pinv(Dinv_r @ phi_t) @ Dinv_r.
-    """
-    phi_t = as_matrix(phi_t, "phi_t")
-    m = phi_t.shape[0]
-    dp = difference_power(m, r)
-    a = dp.inv_power @ phi_t
-    u, s, vh = np.linalg.svd(a, full_matrices=False)
-    if s[0] == 0.0 or s[-1] <= 1e-10 * s[0]:
-        raise DegenerateDrawError("difference-weighted support submatrix is rank deficient")
-    return (vh.T * (1.0 / s)) @ (u.T @ dp.inv_power)
-
-
-def sobolev_reconstruct(phi, support, q, r: int) -> np.ndarray:
+def sobolev_reconstruct(phi, support, q, r: int) -> tuple[np.ndarray, float]:
     """Reconstruct on the given support using the noise-shaping dual.
 
-    Returns the full-length vector, zero off the support.
+    With A = Dinv_r @ phi[:, support], the dual pinv(A) @ Dinv_r is the left
+    inverse of phi[:, support] that minimizes the operator norm against the
+    r-th difference power.  Returns the full-length reconstruction (zero off
+    the support) and sigma_min(A), both from one SVD of A.  The error bound
+    delta*sqrt(m) / (2 sigma_min(A)) holds whenever the support is correct
+    and the greedy quantizer's states stay within delta/2.
     """
     phi = as_matrix(phi, "phi")
     q = as_vector(q, "q")
@@ -239,22 +185,7 @@ def sobolev_reconstruct(phi, support, q, r: int) -> np.ndarray:
     x_t = (vh.T * (1.0 / s)) @ (u.T @ (dp.inv_power @ q))
     x_hat = np.zeros(n)
     x_hat[t] = x_t
-    return x_hat
-
-
-def reconstruction_error_bound(phi_t, r: int, delta: float) -> float:
-    """Deterministic error bound delta*sqrt(m) / (2 sigma_min(Dinv_r @ phi_t)).
-
-    Valid for the noise-shaping reconstruction whenever the support is
-    correct and the greedy quantizer's states stay within delta/2.
-    """
-    phi_t = as_matrix(phi_t, "phi_t")
-    m = phi_t.shape[0]
-    dp = difference_power(m, r)
-    smin = float(np.linalg.svd(dp.inv_power @ phi_t, compute_uv=False)[-1])
-    if smin == 0.0:
-        raise DegenerateDrawError("difference-weighted support submatrix is singular")
-    return delta * math.sqrt(m) / (2.0 * smin)
+    return x_hat, float(s[-1])
 
 
 def projection_dim(m: int, s: int, alpha: float) -> int:
@@ -351,9 +282,9 @@ def full_pipeline(
     mags = np.sort(np.abs(result.x))[::-1]
     tie = bool(x.size > s and mags[s - 1] - mags[s] < 1e-9)
 
-    x_hat = sobolev_reconstruct(phi, t_hat, quant.q, r)
+    x_hat, smin = sobolev_reconstruct(phi, t_hat, quant.q, r)
     err = float(np.linalg.norm(x - x_hat))
-    bound = reconstruction_error_bound(phi[:, t_hat], r, delta)
+    bound = delta * math.sqrt(m) / (2.0 * smin)
 
     ell = projection_dim(m, s, alpha)
     w = projected_basis(m, r, ell)

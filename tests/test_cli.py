@@ -152,6 +152,33 @@ def test_sweep_config_file_and_overrides(tmp_path):
     assert len(read_sweep_csv(out3.read_text())) == 2
 
 
+def usage_error(args):
+    """Run the CLI on bad input; return the message it exits with."""
+    with pytest.raises(SystemExit) as exc:
+        main(args)
+    # a string exit code prints to stderr and exits with status 1
+    assert isinstance(exc.value.code, str)
+    return exc.value.code
+
+
+def test_gen_matrix_requires_m():
+    msg = usage_error(["gen", "--kind", "matrix", "--n", "4", "--seed", "1"])
+    assert "--m" in msg
+
+
+def test_gen_signal_requires_s_and_floor():
+    assert "--s" in usage_error(["gen", "--kind", "signal", "--n", "8", "--floor", "0.5",
+                                 "--seed", "1"])
+    assert "--floor" in usage_error(["gen", "--kind", "signal", "--n", "8", "--s", "2",
+                                     "--seed", "1"])
+
+
+def test_ripscan_project_requires_r_and_ell():
+    base = ["ripscan", "--mode", "exact", "--s", "1", "--m", "6", "--n", "4"]
+    for bad in ("2", "2,", "a,3", "2,3,4"):
+        assert "R,ELL" in usage_error(base + ["--project", bad])
+
+
 def test_sweep_requires_parameters(tmp_path):
     with pytest.raises(ValueError, match="missing sweep parameters"):
         main(["sweep", "--n", "10", "--out", str(tmp_path / "x.csv")])

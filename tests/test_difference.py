@@ -59,11 +59,16 @@ def test_difference_power_caching_and_invariants():
     dp1 = difference_power(12, 2)
     dp2 = difference_power(12, 2)
     assert dp1 is dp2
-    assert not dp1.inv_power.flags.writeable
-    assert np.array_equal(np.triu(dp1.inv_power, k=1), np.zeros((12, 12)))
-    assert np.all(dp1.factors.s > 0)
-    recon = dp1.factors.u @ np.diag(dp1.factors.s) @ dp1.factors.v.T
-    assert np.max(np.abs(recon - dp1.inv_power)) <= 1e-9 * (1 + np.max(dp1.inv_power))
+    assert not any(arr.flags.writeable for arr in (dp1.inv_power, dp1.s, dp1.vt))
+    dense = inverse_difference_power(12, 2)
+    assert np.array_equal(dp1.inv_power, dense)
+    assert np.all(dp1.s > 0)
+    assert np.allclose(dp1.s, np.linalg.svd(dense, compute_uv=False), rtol=1e-13, atol=0)
+    # the rows of vt are right singular vectors: dense @ vt.T has orthogonal
+    # columns of norms s, and vt is orthogonal
+    av = dense @ dp1.vt.T
+    assert np.max(np.abs(av.T @ av - np.diag(dp1.s ** 2))) <= 1e-9 * dp1.s[0] ** 2
+    assert np.max(np.abs(dp1.vt @ dp1.vt.T - np.eye(12))) <= 1e-12
 
 
 def test_singular_profile_small_exact():
@@ -111,11 +116,10 @@ def test_projection_inequality_chain(r):
     m, s = 24, 3
     rng = RngStream(100 + r)
     phi_t = rng.normals(m * s).reshape(m, s)
-    dp = difference_power(m, r)
-    lhs = np.linalg.svd(dp.inv_power @ phi_t, compute_uv=False)[-1]
-    vt = dp.factors.v.T
+    lhs = np.linalg.svd(inverse_difference_power(m, r) @ phi_t, compute_uv=False)[-1]
+    sing = singular_profile(m, r)
     for ell in range(s, m + 1):
-        proj = vt[:ell] @ phi_t
+        proj = projected_basis(m, r, ell) @ phi_t
         smin_proj = np.linalg.svd(proj, compute_uv=False)[-1]
-        rhs = dp.factors.s[ell - 1] * smin_proj
+        rhs = sing[ell - 1] * smin_proj
         assert lhs >= rhs - 1e-10 * max(1.0, lhs)
