@@ -6,7 +6,6 @@ diagnostics, and a reproducible sweep harness.
 """
 
 from .difference import (
-    DifferencePower,
     difference_matrix,
     difference_power,
     inverse_difference_power,

@@ -260,7 +260,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ValueError as exc:
+        # The library rejects out-of-range inputs with ValueError; report it
+        # as a usage error (status 1) rather than a traceback.
+        raise SystemExit(f"sdcs {args.command}: error: {exc}") from None
 
 
 if __name__ == "__main__":

@@ -111,15 +111,17 @@ def bpdn_solve(phi, q, cfg: BpdnConfig) -> BpdnResult:
         v = xi + sigma * (2.0 * px - px_prev)
         p = v / sigma
         d = p - q
-        nd = np.linalg.norm(d)
+        nd = math.sqrt(d @ d)
         proj = q + d * (eps / nd) if nd > eps else p
         xi = v - sigma * proj
 
         x_new = _soft_threshold(x - tau * (phi.T @ xi), tau)
         px_prev = px
         px = phi @ x_new
-        rel = np.linalg.norm(x_new - x) / max(1.0, np.linalg.norm(x_new))
-        violation = max(0.0, float(np.linalg.norm(px - q)) - eps)
+        step = x_new - x
+        res = px - q
+        rel = math.sqrt(step @ step) / max(1.0, math.sqrt(x_new @ x_new))
+        violation = max(0.0, math.sqrt(res @ res) - eps)
         x = x_new
         iterations = it
         if rel < cfg.primal_tol and violation <= cfg.dual_tol:
@@ -177,12 +179,12 @@ def sobolev_reconstruct(phi, support, q, r: int) -> tuple[np.ndarray, float]:
     if q.size != m:
         raise ValueError("q length must equal the number of rows of phi")
     t = _check_support(support, m, n)
-    dp = difference_power(m, r)
-    a = dp.inv_power @ phi[:, t]
+    inv = difference_power(m, r)
+    a = inv @ phi[:, t]
     u, s, vh = np.linalg.svd(a, full_matrices=False)
     if s[0] == 0.0 or s[-1] <= 1e-10 * s[0]:
         raise DegenerateDrawError("difference-weighted support submatrix is rank deficient")
-    x_t = (vh.T * (1.0 / s)) @ (u.T @ (dp.inv_power @ q))
+    x_t = (vh.T * (1.0 / s)) @ (u.T @ (inv @ q))
     x_hat = np.zeros(n)
     x_hat[t] = x_t
     return x_hat, float(s[-1])

@@ -25,6 +25,9 @@ _U_GAMMA = np.uint64(_GAMMA)
 _U_MIX1 = np.uint64(_MIX1)
 _U_MIX2 = np.uint64(_MIX2)
 _TWO_NEG53 = 2.0 ** -53
+# Normals are generated this many at a time, so the temporaries stay small
+# and reuse freed memory instead of mapping fresh pages on every large draw.
+_NORMAL_BLOCK = 4096
 
 
 def _mix64(z: int) -> int:
@@ -47,6 +50,11 @@ def _fnv1a(data: bytes) -> int:
         h ^= b
         h = (h * 0x100000001B3) & _MASK
     return h
+
+
+def _rejection_limit(bound: int) -> int:
+    """Largest multiple of bound not above 2^64: draws below it map uniformly."""
+    return (1 << 64) - ((1 << 64) % bound)
 
 
 def _encode_label(label) -> bytes:
@@ -115,10 +123,16 @@ class RngStream:
         Consumes exactly 2n raw draws: draw 2i feeds the radius (mapped
         to (0, 1] so the log is finite), draw 2i+1 the angle.
         """
-        raw = self.uint64s(2 * n)
-        u1 = ((raw[0::2] >> np.uint64(11)).astype(np.float64) + 1.0) * _TWO_NEG53
-        u2 = (raw[1::2] >> np.uint64(11)).astype(np.float64) * _TWO_NEG53
-        return np.sqrt(-2.0 * np.log(u1)) * np.cos(2.0 * math.pi * u2)
+        if n < 0:
+            raise ValueError("n must be >= 0")
+        out = np.empty(n)
+        for lo in range(0, n, _NORMAL_BLOCK):
+            hi = min(n, lo + _NORMAL_BLOCK)
+            raw = self.uint64s(2 * (hi - lo))
+            u1 = ((raw[0::2] >> np.uint64(11)).astype(np.float64) + 1.0) * _TWO_NEG53
+            u2 = (raw[1::2] >> np.uint64(11)).astype(np.float64) * _TWO_NEG53
+            np.multiply(np.sqrt(-2.0 * np.log(u1)), np.cos(2.0 * math.pi * u2), out=out[lo:hi])
+        return out
 
     def rademacher(self, n: int) -> np.ndarray:
         """n independent +/-1 variates (float64), from the top output bit."""
@@ -129,23 +143,38 @@ class RngStream:
         """Uniform integer in [0, bound), exact via rejection sampling."""
         if bound <= 0:
             raise ValueError("bound must be positive")
-        limit = (1 << 64) - ((1 << 64) % bound)
+        limit = _rejection_limit(bound)
         while True:
             x = int(self.uint64s(1)[0])
             if x < limit:
                 return x % bound
 
+    def _prefetched(self, k: int):
+        """Raw draws as Python ints: k fetched at once, then one at a time."""
+        yield from self.uint64s(k).tolist()
+        while True:
+            yield int(self.uint64s(1)[0])
+
     def choose_indices(self, n: int, k: int) -> np.ndarray:
         """Uniformly random k-subset of range(n), sorted ascending.
 
-        Partial Fisher-Yates shuffle; consumes a variable number of raw
-        draws but is deterministic for a fixed stream state.
+        Partial Fisher-Yates shuffle; position i takes ``randbelow(n - i)``
+        on the next draws, so the output and the draws consumed are those of
+        k sequential ``randbelow`` calls.  All k draws are fetched at once
+        (each is accepted except with probability below (n - i) / 2^64); a
+        rejected draw is replaced by fetching one more.
         """
         if not 1 <= k <= n:
             raise ValueError("need 1 <= k <= n")
+        draws = self._prefetched(k)
         pool = list(range(n))
         for i in range(k):
-            j = i + self.randbelow(n - i)
+            bound = n - i
+            limit = _rejection_limit(bound)
+            x = next(draws)
+            while x >= limit:
+                x = next(draws)
+            j = i + x % bound
             pool[i], pool[j] = pool[j], pool[i]
         return np.array(sorted(pool[:k]), dtype=np.intp)
 

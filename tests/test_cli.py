@@ -180,8 +180,34 @@ def test_ripscan_project_requires_r_and_ell():
 
 
 def test_sweep_requires_parameters(tmp_path):
-    with pytest.raises(ValueError, match="missing sweep parameters"):
-        main(["sweep", "--n", "10", "--out", str(tmp_path / "x.csv")])
+    msg = usage_error(["sweep", "--n", "10", "--out", str(tmp_path / "x.csv")])
+    assert msg.startswith("sdcs sweep: error: missing sweep parameters")
+
+
+@pytest.mark.parametrize("args, cmd, why", [
+    (["ripscan", "--mode", "exact", "--s", "1", "--m", "6", "--n", "4", "--project", "2,0"],
+     "ripscan", "need 1 <= ell <= 6"),
+    (["reconstruct", "--ensemble", "gaussian", "--n", "8", "--s", "5", "--m", "3",
+      "--order", "1", "--delta", "0.1", "--alpha", "0.7", "--seed", "1"],
+     "reconstruct", "need m >= s"),
+    (["gen", "--kind", "signal", "--n", "4", "--s", "9", "--floor", "0.5", "--seed", "1"],
+     "gen", "need 1 <= s <= n"),
+    (["sweep"], "sweep", "missing sweep parameters"),
+])
+def test_library_value_errors_exit_with_usage_message(args, cmd, why):
+    assert usage_error(args).startswith(f"sdcs {cmd}: error: {why}")
+
+
+def test_library_value_error_exit_status():
+    env = dict(os.environ, PYTHONPATH=SRC)
+    out = subprocess.run(
+        [sys.executable, "-m", "sdcs", "gen", "--kind", "signal", "--n", "4", "--s", "9",
+         "--floor", "0.5", "--seed", "1"],
+        capture_output=True, text=True, env=env,
+    )
+    assert out.returncode == 1
+    assert out.stdout == ""
+    assert out.stderr == "sdcs gen: error: need 1 <= s <= n\n"
 
 
 def test_summarize_outputs(tmp_path):

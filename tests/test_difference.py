@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import sdcs.difference as difference
 from sdcs.difference import (
     difference_matrix,
     difference_power,
@@ -59,16 +60,19 @@ def test_difference_power_caching_and_invariants():
     dp1 = difference_power(12, 2)
     dp2 = difference_power(12, 2)
     assert dp1 is dp2
-    assert not any(arr.flags.writeable for arr in (dp1.inv_power, dp1.s, dp1.vt))
+    assert not dp1.flags.writeable
     dense = inverse_difference_power(12, 2)
-    assert np.array_equal(dp1.inv_power, dense)
-    assert np.all(dp1.s > 0)
-    assert np.allclose(dp1.s, np.linalg.svd(dense, compute_uv=False), rtol=1e-13, atol=0)
-    # the rows of vt are right singular vectors: dense @ vt.T has orthogonal
-    # columns of norms s, and vt is orthogonal
-    av = dense @ dp1.vt.T
-    assert np.max(np.abs(av.T @ av - np.diag(dp1.s ** 2))) <= 1e-9 * dp1.s[0] ** 2
-    assert np.max(np.abs(dp1.vt @ dp1.vt.T - np.eye(12))) <= 1e-12
+    assert np.array_equal(dp1, dense)
+    s = singular_profile(12, 2)
+    assert np.all(s > 0)
+    assert np.allclose(s, np.linalg.svd(dense, compute_uv=False), rtol=1e-13, atol=0)
+    # the rows of the full projection basis are right singular vectors of the
+    # dense oracle: dense @ vt.T has orthogonal columns of norms s, and vt is
+    # orthogonal
+    vt = projected_basis(12, 2, 12)
+    av = dense @ vt.T
+    assert np.max(np.abs(av.T @ av - np.diag(s ** 2))) <= 1e-9 * s[0] ** 2
+    assert np.max(np.abs(vt @ vt.T - np.eye(12))) <= 1e-12
 
 
 def test_singular_profile_small_exact():
@@ -123,3 +127,49 @@ def test_projection_inequality_chain(r):
         smin_proj = np.linalg.svd(proj, compute_uv=False)[-1]
         rhs = sing[ell - 1] * smin_proj
         assert lhs >= rhs - 1e-10 * max(1.0, lhs)
+
+
+def principal_sine(rows_a, rows_b):
+    """Sine of the largest principal angle between two orthonormal row spans."""
+    resid = rows_a.T - rows_b.T @ (rows_b @ rows_a.T)
+    return np.linalg.norm(resid, 2)
+
+
+@pytest.mark.parametrize("m", [8, 64, 512])
+@pytest.mark.parametrize("r", [1, 2, 3])
+def test_projected_basis_spans_dense_top_right_singular_vectors(m, r):
+    vt = np.linalg.svd(inverse_difference_power(m, r))[2]
+    for ell in sorted({1, math.ceil(m * (5 / m) ** 0.7), m}):
+        w = projected_basis(m, r, ell)
+        assert w.shape == (ell, m)
+        assert np.max(np.abs(w @ w.T - np.eye(ell))) <= 1e-12
+        assert principal_sine(w, vt[:ell]) <= 1e-9
+
+
+def test_projected_basis_repeatable_bytes():
+    first = projected_basis(300, 1, 17)
+    again = projected_basis(300, 1, 17)
+    assert first is not again
+    assert first.tobytes() == again.tobytes()
+    difference._top_right_singular_rows.cache_clear()
+    assert projected_basis(300, 1, 17).tobytes() == first.tobytes()
+
+
+def test_caches_stay_bounded():
+    for m in range(40, 50):
+        difference_power(m, 1)
+        projected_basis(m, 1, 3)
+    assert difference_power.cache_info().currsize == difference_power.cache_info().maxsize
+    basis = difference._top_right_singular_rows.cache_info()
+    assert basis.currsize == basis.maxsize
+    assert basis.maxsize < 10
+
+
+def test_projected_basis_iteration_cap_raises(monkeypatch):
+    monkeypatch.setattr(difference, "_BASIS_MAX_ITERS", 2)
+    difference._top_right_singular_rows.cache_clear()
+    try:
+        with pytest.raises(RuntimeError, match="did not converge"):
+            projected_basis(400, 1, 20)
+    finally:
+        difference._top_right_singular_rows.cache_clear()

@@ -5,7 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sdcs.difference import difference_matrix, difference_power, inverse_difference_power
+import sdcs.difference as difference
+from sdcs.difference import (
+    difference_matrix,
+    difference_power,
+    inverse_difference_power,
+    projected_basis,
+)
 from sdcs.linalg import pseudoinverse
 from sdcs.measurement import Ensemble, sample_matrix, sample_sparse_signal
 from sdcs.quantizer import QuantizerConfig, quantization_noise_bound, sigma_delta_quantize
@@ -286,7 +292,9 @@ class TestFullPipeline:
         # per call: one SVD of Dinv_r @ phi_T (reconstruction and bound) and
         # one of the ell-row projection (diagnostic), nothing else
         m, s, r = 60, 3, 2
-        difference_power(m, r)  # the cached operator's own SVD is not per trial
+        # the cached operators' own set-up is not per trial
+        difference_power(m, r)
+        projected_basis(m, r, projection_dim(m, s, 0.7))
         shapes = []
         svd = np.linalg.svd
 
@@ -298,6 +306,25 @@ class TestFullPipeline:
         rep = full_pipeline(GAUSS, 64, s, m, r, 0.02, 0.7, RngStream(55))
         assert rep.ell != m
         assert sorted(shapes) == sorted([(m, s), (rep.ell, s)])
+
+    def test_cold_call_takes_no_square_svd(self, monkeypatch):
+        # the projection basis comes from subspace iteration on m x b blocks;
+        # no SVD of an m x m matrix runs even when nothing is cached
+        m, s, r = 200, 5, 1
+        assert 2 * projection_dim(m, s, 0.7) + 8 < m
+        difference_power.cache_clear()
+        difference._top_right_singular_rows.cache_clear()
+        shapes = []
+        svd = np.linalg.svd
+
+        def recording_svd(a, *args, **kwargs):
+            shapes.append(np.shape(a))
+            return svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", recording_svd)
+        full_pipeline(GAUSS, 64, s, m, r, 0.02, 0.7, RngStream(56))
+        assert len(shapes) > 2  # the cold basis ran its Rayleigh-Ritz steps
+        assert all(shape[0] < m or shape[1] < m for shape in shapes)
 
     def test_m_less_than_s_rejected(self):
         with pytest.raises(ValueError):

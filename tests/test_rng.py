@@ -1,7 +1,11 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from sdcs.rng import RngStream, derive_seed
+from sdcs.rng import _NORMAL_BLOCK, RngStream, derive_seed
 
 MASK = (1 << 64) - 1
 
@@ -100,6 +104,66 @@ def test_choose_indices_basic():
         rng.choose_indices(5, 0)
     with pytest.raises(ValueError):
         rng.choose_indices(5, 6)
+
+
+def choose_indices_reference(rng, n, k):
+    """The sequential definition: one randbelow(n - i) per position."""
+    pool = list(range(n))
+    for i in range(k):
+        j = i + rng.randbelow(n - i)
+        pool[i], pool[j] = pool[j], pool[i]
+    return np.array(sorted(pool[:k]), dtype=np.intp)
+
+
+def test_choose_indices_matches_sequential_randbelow():
+    for seed in range(20):
+        for n, k in ((256, 4), (10, 10), (7, 1), (1000, 37)):
+            a, b = RngStream(seed), RngStream(seed)
+            a.uint64s(seed)  # start mid-stream
+            b.uint64s(seed)
+            assert np.array_equal(a.choose_indices(n, k), choose_indices_reference(b, n, k))
+            assert a.counter == b.counter
+
+
+def test_choose_indices_rejected_draws(monkeypatch):
+    # Rejection needs a draw at or above 2^64 - (2^64 mod bound), which no
+    # real stream position hits for small bounds, so script the raw draws.
+    top = (1 << 64) - 1  # rejected for bound 3 (2^64 mod 3 = 1) and bound 5
+    script = [top, 7, top, top, 11, 2, 9, 4]
+
+    def scripted(self, n):
+        out = np.array(script[self._counter:self._counter + n], dtype=np.uint64)
+        assert out.size == n, "script exhausted"
+        self._counter += n
+        return out
+
+    monkeypatch.setattr(RngStream, "uint64s", scripted)
+    a, b = RngStream(0), RngStream(0)
+    got = a.choose_indices(5, 3)
+    assert np.array_equal(got, choose_indices_reference(b, 5, 3))
+    # bound 5 rejects top and takes 7; bound 4 rejects nothing (2^64 mod 4 = 0)
+    # and takes top; bound 3 rejects top and takes 11: five draws in all
+    assert a.counter == b.counter == 5
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.integers(0, 2 * _NORMAL_BLOCK + 3), st.integers(0, 2 * _NORMAL_BLOCK + 3),
+       st.integers(0, 2**64 - 1))
+@example(_NORMAL_BLOCK - 1, 1, 7)
+@example(_NORMAL_BLOCK, _NORMAL_BLOCK + 1, 8)
+@example(1, 2 * _NORMAL_BLOCK - 1, 9)
+def test_normals_chunking_and_box_muller(a, b, seed):
+    s1, s2 = RngStream(seed), RngStream(seed)
+    split = np.concatenate([s1.normals(a), s1.normals(b)])
+    whole = s2.normals(a + b)
+    assert split.tobytes() == whole.tobytes()
+    assert s1.counter == s2.counter == 2 * (a + b)
+    # one-shot Box-Muller over the same raw draws
+    raw = RngStream(seed).uint64s(2 * (a + b))
+    u1 = ((raw[0::2] >> np.uint64(11)).astype(np.float64) + 1.0) * 2.0 ** -53
+    u2 = (raw[1::2] >> np.uint64(11)).astype(np.float64) * 2.0 ** -53
+    want = np.sqrt(-2.0 * np.log(u1)) * np.cos(2.0 * math.pi * u2)
+    assert whole.tobytes() == want.tobytes()
 
 
 def test_choose_indices_uniform_singletons():
