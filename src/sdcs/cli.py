@@ -55,12 +55,12 @@ def _cmd_gen(args) -> int:
     rng = RngStream(args.seed)
     if args.kind == "matrix":
         if args.m is None:
-            raise SystemExit("gen: --kind matrix needs --m")
+            raise ValueError("--kind matrix needs --m")
         phi = sample_matrix(Ensemble(args.ensemble), args.m, args.n, rng)
         _write(write_matrix_text(phi), args.out)
     else:
         if args.s is None or args.floor is None:
-            raise SystemExit("gen: --kind signal needs --s and --floor")
+            raise ValueError("--kind signal needs --s and --floor")
         cap = args.cap if args.cap is not None else 10.0 * args.floor
         signal = sample_sparse_signal(args.n, args.s, args.floor, cap, rng)
         _write(write_matrix_text(signal.to_dense().reshape(-1, 1)), args.out)
@@ -124,7 +124,7 @@ def _cmd_ripscan(args) -> int:
         a = read_matrix_text(_read(args.input))
     else:
         if args.m is None or args.n is None:
-            raise SystemExit("ripscan: need --input or --ensemble with --m and --n")
+            raise ValueError("need --input or --ensemble with --m and --n")
         a = sample_matrix(Ensemble(args.ensemble), args.m, args.n,
                           RngStream(args.seed).substream("ripscan-matrix"))
     if args.project is not None:
@@ -132,9 +132,9 @@ def _cmd_ripscan(args) -> int:
             r_str, ell_str = args.project.split(",")
             r, ell = int(r_str), int(ell_str)
         except ValueError:
-            raise SystemExit("ripscan: --project takes R,ELL with integers R and ELL") from None
+            raise ValueError("--project takes R,ELL with integers R and ELL") from None
         if r not in _ORDER_CHOICES:
-            raise SystemExit("ripscan: projection order must be 1, 2, or 3")
+            raise ValueError("projection order must be 1, 2, or 3")
         a = projected_matrix(a, r, ell)
     if args.scale != 1.0:
         a = a * args.scale
@@ -263,8 +263,8 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except ValueError as exc:
-        # The library rejects out-of-range inputs with ValueError; report it
-        # as a usage error (status 1) rather than a traceback.
+        # The library and the _cmd_* checks reject bad input with ValueError;
+        # report it as a usage error (status 1) rather than a traceback.
         raise SystemExit(f"sdcs {args.command}: error: {exc}") from None
 
 

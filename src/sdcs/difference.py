@@ -24,6 +24,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .rng import RngStream
 
@@ -64,10 +65,10 @@ def inverse_difference_power(m: int, r: int) -> np.ndarray:
     for k in range(1, m):
         col[k] = col[k - 1] * (k + r - 1) // k
     colarr = np.array(col, dtype=np.float64)
-    out = np.zeros((m, m))
-    i, j = np.tril_indices(m)
-    out[i, j] = colarr[i - j]
-    return out
+    # Toeplitz fill: row i is c_i, ..., c_0 followed by zeros, the reverse
+    # of the length-m window of [0, ..., 0, c_0, ..., c_{m-1}] starting at i.
+    padded = np.concatenate([np.zeros(m - 1), colarr])
+    return sliding_window_view(padded, m)[:, ::-1].copy()
 
 
 @lru_cache(maxsize=_POWER_CACHE_SIZE)

@@ -60,17 +60,18 @@ def sigma_delta_quantize(y, cfg: QuantizerConfig) -> QuantizationOutput:
     r, delta = cfg.r, cfg.delta
     # h_i = sum_{j=1..r} (-1)^(j+1) C(r, j) u_{i-j}
     coeffs = [((-1) ** (j + 1)) * math.comb(r, j) for j in range(1, r + 1)]
-    m = y.size
-    u = np.zeros(m)
-    q = np.zeros(m)
-    for i in range(m):
+    # Python floats carry the same IEEE doubles as numpy scalars, at a
+    # fraction of the per-element cost.
+    u: list[float] = []
+    q: list[float] = []
+    for i, yi in enumerate(y.tolist()):
         h = 0.0
         for j in range(1, min(r, i) + 1):
             h += coeffs[j - 1] * u[i - j]
-        t = (y[i] + h) / delta
-        q[i] = delta * _round_half_away(t)
-        u[i] = y[i] + h - q[i]
-    return QuantizationOutput(q=q, u=u)
+        qi = delta * _round_half_away((yi + h) / delta)
+        q.append(qi)
+        u.append(yi + h - qi)
+    return QuantizationOutput(q=np.array(q, dtype=np.float64), u=np.array(u, dtype=np.float64))
 
 
 def msq_quantize(y, delta: float) -> np.ndarray:

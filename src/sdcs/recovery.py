@@ -60,20 +60,24 @@ class BpdnResult:
     gap: float
 
 
-def _soft_threshold(w: np.ndarray, t: float) -> np.ndarray:
-    return np.sign(w) * np.maximum(np.abs(w) - t, 0.0)
-
-
 def bpdn_solve(phi, q, cfg: BpdnConfig) -> BpdnResult:
     """Basis pursuit denoising by a primal-dual splitting iteration.
 
     Alternates a proximal step on the l1 objective with a projection of
-    the dual variable onto the epsilon-ball around q, using equal step
-    sizes set from the exact ||phi||, the square root of the largest
-    eigenvalue of the smaller Gram matrix.  Stops when the
-    relative primal change drops below primal_tol and the constraint
-    violation below dual_tol, or at the iteration cap (then
+    the dual variable onto the epsilon-ball around q (Chambolle and Pock,
+    JMIV 2011), using equal step sizes set from the exact ||phi||, the
+    square root of the largest eigenvalue of the smaller Gram matrix.
+    Stops when the relative primal change drops below primal_tol and the
+    constraint violation below dual_tol, or at the iteration cap (then
     ``converged=False`` and the best iterate is returned).
+
+    A tall phi (m > n + 1) is first replaced by its (n+1) x n equivalent:
+    with R the triangular QR factor of [phi | q], the iteration runs on
+    phi~ = R[:, :n] and q~ = R[:, n].  The dual variable only ever moves
+    in range(phi) + span(q), on which the orthonormal factor is an
+    isometry, so ||phi x - q|| = ||phi~ x - q~||, ||phi|| = ||phi~|| and
+    every iterate and the stop test agree in exact arithmetic.  The
+    returned violation is measured on the caller's phi and q.
 
     The feasible set must be nonempty (epsilon at least the distance of q
     from the range of phi); otherwise the iteration cannot converge.
@@ -89,7 +93,18 @@ def bpdn_solve(phi, q, cfg: BpdnConfig) -> BpdnResult:
         # Zero is feasible and has minimal possible l1 norm.
         return BpdnResult(x=np.zeros(n), converged=True, iterations=0, violation=0.0, gap=0.0)
 
-    gram = phi @ phi.T if m <= n else phi.T @ phi
+    a, b = phi, q  # the pair the iteration runs on
+    if m > n + 1:
+        # Fortran order is LAPACK's layout, so the factorization copies it
+        # without a transpose.
+        aug = np.empty((m, n + 1), order="F")
+        aug[:, :n] = phi
+        aug[:, n] = q
+        rfac = np.linalg.qr(aug, mode="r")
+        a, b = np.ascontiguousarray(rfac[:, :n]), rfac[:, n].copy()
+    at = np.ascontiguousarray(a.T)
+
+    gram = a @ a.T if a.shape[0] <= n else a.T @ a
     opnorm = math.sqrt(np.linalg.eigvalsh(gram)[-1])
     if opnorm == 0.0:
         # phi is the zero matrix and q is outside the ball: infeasible.
@@ -100,27 +115,43 @@ def bpdn_solve(phi, q, cfg: BpdnConfig) -> BpdnResult:
     tau = sigma = 0.995 / opnorm  # tau*sigma*||phi||^2 < 1
 
     x = np.zeros(n)
-    px = np.zeros(m)        # phi @ x
-    px_prev = np.zeros(m)
-    xi = np.zeros(m)
+    px = np.zeros(b.size)   # a @ x
+    px_prev = px
+    xi = np.zeros(b.size)
     converged = False
-    violation = float(np.linalg.norm(q) - eps)
     iterations = 0
 
     for it in range(1, cfg.max_iters + 1):
-        v = xi + sigma * (2.0 * px - px_prev)
+        # v = xi + sigma * (2 px - px_prev)
+        v = 2.0 * px
+        v -= px_prev
+        v *= sigma
+        v += xi
+        # xi = v - sigma * (projection of v / sigma onto the eps-ball around b)
         p = v / sigma
-        d = p - q
+        d = p - b
         nd = math.sqrt(d @ d)
-        proj = q + d * (eps / nd) if nd > eps else p
-        xi = v - sigma * proj
+        if nd > eps:
+            d *= eps / nd
+            d += b
+            p = d
+        p *= sigma
+        v -= p
+        xi = v
 
-        x_new = _soft_threshold(x - tau * (phi.T @ xi), tau)
+        # soft threshold of w at tau: w - clip(w, -tau, tau), with the clip
+        # spelled as maximum and minimum (np.clip costs more per call)
+        w = at @ xi
+        w *= tau
+        np.subtract(x, w, out=w)
+        c = np.maximum(w, -tau)
+        np.minimum(c, tau, out=c)
+        x_new = w - c
         px_prev = px
-        px = phi @ x_new
-        step = x_new - x
-        res = px - q
-        rel = math.sqrt(step @ step) / max(1.0, math.sqrt(x_new @ x_new))
+        px = a @ x_new
+        x -= x_new
+        res = px - b
+        rel = math.sqrt(x @ x) / max(1.0, math.sqrt(x_new @ x_new))
         violation = max(0.0, math.sqrt(res @ res) - eps)
         x = x_new
         iterations = it
@@ -128,11 +159,12 @@ def bpdn_solve(phi, q, cfg: BpdnConfig) -> BpdnResult:
             converged = True
             break
 
+    res = phi @ x - q
+    violation = max(0.0, math.sqrt(res @ res) - eps)
     # Certified l1 suboptimality from the scaled dual point.
-    atxi = phi.T @ xi
-    scale = max(1.0, float(np.max(np.abs(atxi))))
+    scale = max(1.0, float(np.max(np.abs(at @ xi))))
     xif = xi / scale
-    dual_value = -float(q @ xif) - eps * float(np.linalg.norm(xif))
+    dual_value = -float(b @ xif) - eps * float(np.linalg.norm(xif))
     gap = float(np.sum(np.abs(x))) - dual_value
     return BpdnResult(x=x, converged=converged, iterations=iterations,
                       violation=violation, gap=gap)

@@ -163,20 +163,26 @@ def usage_error(args):
 
 def test_gen_matrix_requires_m():
     msg = usage_error(["gen", "--kind", "matrix", "--n", "4", "--seed", "1"])
-    assert "--m" in msg
+    assert msg == "sdcs gen: error: --kind matrix needs --m"
 
 
 def test_gen_signal_requires_s_and_floor():
-    assert "--s" in usage_error(["gen", "--kind", "signal", "--n", "8", "--floor", "0.5",
-                                 "--seed", "1"])
-    assert "--floor" in usage_error(["gen", "--kind", "signal", "--n", "8", "--s", "2",
-                                     "--seed", "1"])
+    want = "sdcs gen: error: --kind signal needs --s and --floor"
+    assert usage_error(["gen", "--kind", "signal", "--n", "8", "--floor", "0.5",
+                        "--seed", "1"]) == want
+    assert usage_error(["gen", "--kind", "signal", "--n", "8", "--s", "2",
+                        "--seed", "1"]) == want
 
 
 def test_ripscan_project_requires_r_and_ell():
     base = ["ripscan", "--mode", "exact", "--s", "1", "--m", "6", "--n", "4"]
     for bad in ("2", "2,", "a,3", "2,3,4"):
-        assert "R,ELL" in usage_error(base + ["--project", bad])
+        assert usage_error(base + ["--project", bad]) == (
+            "sdcs ripscan: error: --project takes R,ELL with integers R and ELL")
+    assert usage_error(base + ["--project", "4,2"]) == (
+        "sdcs ripscan: error: projection order must be 1, 2, or 3")
+    assert usage_error(["ripscan", "--mode", "exact", "--s", "1", "--m", "6"]) == (
+        "sdcs ripscan: error: need --input or --ensemble with --m and --n")
 
 
 def test_sweep_requires_parameters(tmp_path):

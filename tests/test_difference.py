@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -31,12 +32,23 @@ def test_inverse_power_closed_form_small():
 
 
 def test_inverse_power_binomial_entries():
-    m, r = 10, 3
-    inv = inverse_difference_power(m, r)
-    for i in range(m):
-        for j in range(m):
-            want = math.comb(i - j + r - 1, r - 1) if i >= j else 0
-            assert inv[i, j] == want
+    for m in (1, 2, 8, 10, 257):
+        for r in (1, 2, 3, 4):
+            want = np.array([[math.comb(i - j + r - 1, r - 1) if i >= j else 0
+                              for j in range(m)] for i in range(m)], dtype=np.float64)
+            inv = inverse_difference_power(m, r)
+            assert inv.flags.c_contiguous
+            assert inv.tobytes() == want.tobytes()
+
+
+def test_inverse_power_builds_without_index_arrays():
+    tracemalloc.start()
+    try:
+        inv = inverse_difference_power(1000, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * inv.nbytes
 
 
 @pytest.mark.parametrize("m", [1, 8, 33, 128])

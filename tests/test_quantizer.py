@@ -2,10 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sdcs.difference import difference_matrix
 from sdcs.quantizer import (
     QuantizerConfig,
+    _round_half_away,
     msq_quantize,
     quantization_noise_bound,
     sigma_delta_quantize,
@@ -71,6 +74,43 @@ def test_invariants_on_random_inputs():
         assert np.max(np.abs(residual(y, out, r))) <= tol
         # worst-case noise bound
         assert np.linalg.norm(out.q - y) <= quantization_noise_bound(m, cfg) + 1e-9
+
+
+def numpy_scalar_quantize(y, r, delta):
+    """The quantizer loop on numpy scalars: the reference for the list loop."""
+    coeffs = [((-1) ** (j + 1)) * math.comb(r, j) for j in range(1, r + 1)]
+    u = np.zeros(y.size)
+    q = np.zeros(y.size)
+    for i in range(y.size):
+        h = 0.0
+        for j in range(1, min(r, i) + 1):
+            h += coeffs[j - 1] * u[i - j]
+        t = (y[i] + h) / delta
+        q[i] = delta * _round_half_away(t)
+        u[i] = y[i] + h - q[i]
+    return q, u
+
+
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(
+    r=st.integers(1, 6),
+    delta=st.floats(1e-3, 10.0),
+    steps=st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=48),
+)
+def test_identities_up_to_a_million_steps(r, delta, steps):
+    y = delta * np.array(steps)
+    out = sigma_delta_quantize(y, QuantizerConfig(r=r, delta=delta))
+    want_q, want_u = numpy_scalar_quantize(y, r, delta)
+    assert out.q.tobytes() == want_q.tobytes()
+    assert out.u.tobytes() == want_u.tobytes()
+    # each state is a rounding remainder of a sum of size |y| + 2^r delta
+    scale = np.max(np.abs(y)) + 2.0**r * delta
+    eps = np.finfo(float).eps
+    assert np.max(np.abs(out.u)) <= delta / 2 + 4 * eps * scale
+    d_r_u = out.u
+    for _ in range(r):
+        d_r_u = np.diff(d_r_u, prepend=0.0)
+    assert np.max(np.abs(d_r_u - (y - out.q))) <= 2.0**r * 8 * eps * scale
 
 
 def test_first_order_running_sums_track():

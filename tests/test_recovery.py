@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import sdcs.difference as difference
@@ -17,6 +17,7 @@ from sdcs.measurement import Ensemble, sample_matrix, sample_sparse_signal
 from sdcs.quantizer import QuantizerConfig, quantization_noise_bound, sigma_delta_quantize
 from sdcs.recovery import (
     BpdnConfig,
+    BpdnResult,
     DegenerateDrawError,
     bpdn_solve,
     full_pipeline,
@@ -118,6 +119,126 @@ class TestBpdn:
             BpdnConfig(epsilon=0.1, max_iters=0)
         with pytest.raises(ValueError):
             BpdnConfig(epsilon=0.1, primal_tol=0.0)
+
+
+def dense_bpdn(phi, q, cfg):
+    """The primal-dual loop on the full m-row phi: the reference that the
+    (n+1)-row reduction of a tall phi must reproduce."""
+    m, n = phi.shape
+    eps = cfg.epsilon
+    if np.linalg.norm(q) <= eps:
+        return BpdnResult(x=np.zeros(n), converged=True, iterations=0, violation=0.0, gap=0.0)
+    gram = phi @ phi.T if m <= n else phi.T @ phi
+    opnorm = math.sqrt(np.linalg.eigvalsh(gram)[-1])
+    if opnorm == 0.0:
+        return BpdnResult(x=np.zeros(n), converged=False, iterations=0,
+                          violation=float(np.linalg.norm(q) - eps), gap=math.inf)
+    tau = sigma = 0.995 / opnorm
+    x, px, px_prev, xi = np.zeros(n), np.zeros(m), np.zeros(m), np.zeros(m)
+    converged, violation, iterations = False, float(np.linalg.norm(q) - eps), 0
+    for it in range(1, cfg.max_iters + 1):
+        v = xi + sigma * (2.0 * px - px_prev)
+        p = v / sigma
+        d = p - q
+        nd = math.sqrt(d @ d)
+        proj = q + d * (eps / nd) if nd > eps else p
+        xi = v - sigma * proj
+        w = x - tau * (phi.T @ xi)
+        x_new = np.sign(w) * np.maximum(np.abs(w) - tau, 0.0)
+        px_prev = px
+        px = phi @ x_new
+        step = x_new - x
+        res = px - q
+        rel = math.sqrt(step @ step) / max(1.0, math.sqrt(x_new @ x_new))
+        violation = max(0.0, math.sqrt(res @ res) - eps)
+        x = x_new
+        iterations = it
+        if rel < cfg.primal_tol and violation <= cfg.dual_tol:
+            converged = True
+            break
+    scale = max(1.0, float(np.max(np.abs(phi.T @ xi))))
+    xif = xi / scale
+    gap = float(np.sum(np.abs(x))) + float(q @ xif) + eps * float(np.linalg.norm(xif))
+    return BpdnResult(x=x, converged=converged, iterations=iterations,
+                      violation=violation, gap=gap)
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(
+    n=st.integers(1, 10),
+    extra=st.integers(1, 30),
+    kind=st.sampled_from(["noisy", "duplicate-column", "in-range", "zero"]),
+    eps=st.floats(0.01, 1.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(n=3, extra=1, kind="zero", eps=0.5, seed=1)
+@example(n=4, extra=9, kind="duplicate-column", eps=0.2, seed=2)
+@example(n=6, extra=12, kind="in-range", eps=0.1, seed=3)
+def test_tall_reduction_matches_dense_loop(n, extra, kind, eps, seed):
+    # n + 1 < m <= 4n; for n = 1 that leaves m in {3, 4}
+    m = min(n + 1 + extra, 4 * n) if n > 1 else 2 + min(extra, 2)
+    rng = RngStream(seed)
+    phi = rng.normals(m * n).reshape(m, n)
+    if kind == "duplicate-column" and n > 1:
+        phi[:, -1] = phi[:, 0]  # rank-deficient
+    elif kind == "zero":
+        phi[:] = 0.0
+    x_true = rng.normals(n) * (rng.normals(n) > 0.3)
+    x_true[0] += 1.0  # q outside the eps-ball around 0
+    if kind == "in-range":
+        q, eps = phi @ x_true, 0.0
+    else:
+        noise = rng.normals(m)
+        q = phi @ x_true + noise / np.linalg.norm(noise) * (0.9 * eps)
+        if kind == "zero":
+            q = noise
+    cfg = BpdnConfig(epsilon=eps, max_iters=20_000)
+    got = bpdn_solve(phi, q, cfg)
+    want = dense_bpdn(phi, q, cfg)
+    assert got.converged == want.converged
+    assert abs(got.iterations - want.iterations) <= 2
+    assert np.linalg.norm(got.x - want.x) <= 1e-8 * max(1.0, float(np.linalg.norm(want.x)))
+    res = phi @ got.x - q
+    assert got.violation == pytest.approx(max(0.0, float(np.linalg.norm(res)) - eps), abs=1e-12)
+    assert got.gap == pytest.approx(want.gap, abs=1e-8 * max(1.0, float(np.sum(np.abs(want.x)))))
+
+
+def test_tall_solve_runs_one_qr_and_no_m_row_gram(monkeypatch):
+    m, n = 40, 8
+    rng = RngStream(31)
+    phi = rng.normals(m * n).reshape(m, n)
+    q = phi @ (rng.normals(n) * (rng.normals(n) > 0.5)) + 0.01 * rng.normals(m)
+    qr, eigvalsh = np.linalg.qr, np.linalg.eigvalsh
+    factored, grams = [], []
+
+    def recording_qr(a, *args, **kwargs):
+        out = qr(a, *args, **kwargs)
+        factored.append((np.shape(a), np.isfortran(a), out))
+        return out
+
+    def recording_eigvalsh(a, *args, **kwargs):
+        grams.append(np.array(a))
+        return eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "qr", recording_qr)
+    monkeypatch.setattr(np.linalg, "eigvalsh", recording_eigvalsh)
+    res = bpdn_solve(phi, q, BpdnConfig(epsilon=0.1))
+    assert res.converged
+    assert [(shape, fortran) for shape, fortran, _ in factored] == [((m, n + 1), True)]
+    # the one Gram matrix is that of the (n+1)-row factor, not of phi
+    rfac = np.ascontiguousarray(factored[0][2][:, :n])
+    assert len(grams) == 1
+    assert np.array_equal(grams[0], rfac.T @ rfac)
+
+
+def test_wide_and_square_solves_take_no_qr(monkeypatch):
+    calls = []
+    monkeypatch.setattr(np.linalg, "qr", lambda *a, **k: calls.append(a) or None)
+    rng = RngStream(32)
+    for m, n in ((6, 9), (9, 8)):  # m <= n + 1 is already small
+        phi = rng.normals(m * n).reshape(m, n)
+        bpdn_solve(phi, rng.normals(m), BpdnConfig(epsilon=0.1, max_iters=5))
+    assert calls == []
 
 
 class TestSupportFrom:
