@@ -6,7 +6,6 @@ diagnostics, and a reproducible sweep harness.
 """
 
 from .difference import (
-    difference_matrix,
     difference_power,
     inverse_difference_power,
     projected_basis,
@@ -29,7 +28,6 @@ from .experiments import (
 )
 from .linalg import (
     least_squares,
-    pseudoinverse,
     read_matrix_text,
     write_matrix_text,
 )
@@ -42,7 +40,6 @@ from .quantizer import (
     sigma_delta_quantize,
 )
 from .recovery import (
-    BpdnConfig,
     BpdnResult,
     DegenerateDrawError,
     RecoveryReport,

@@ -43,13 +43,6 @@ _BASIS_MAX_ITERS = 100
 _EPS = float(np.finfo(np.float64).eps)
 
 
-def difference_matrix(m: int) -> np.ndarray:
-    """m x m first-order difference operator."""
-    if m < 1:
-        raise ValueError("m must be >= 1")
-    return np.eye(m) - np.eye(m, k=-1)
-
-
 def _check_order(m: int, r: int) -> None:
     if m < 1:
         raise ValueError("m must be >= 1")

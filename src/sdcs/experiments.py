@@ -21,7 +21,6 @@ from .linalg import least_squares
 from .measurement import Ensemble
 from .quantizer import msq_quantize
 from .recovery import (
-    BpdnConfig,
     DegenerateDrawError,
     bpdn_solve,
     draw_instance,
@@ -351,7 +350,7 @@ def msq_trial(
     x = signal.to_dense()
     q = msq_quantize(phi @ x, delta)
     eps = delta * math.sqrt(m) / 2.0
-    result = bpdn_solve(phi, q, BpdnConfig(epsilon=eps))
+    result = bpdn_solve(phi, q, eps)
     t_hat = support_from(result.x, s)
     x_hat = np.zeros(n)
     x_hat[t_hat] = least_squares(phi[:, t_hat], q)

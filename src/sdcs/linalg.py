@@ -35,27 +35,20 @@ def as_vector(a, name: str = "vector") -> np.ndarray:
     return v
 
 
-def pseudoinverse(a, rel_tol: float = 1e-12) -> np.ndarray:
-    """Moore-Penrose pseudoinverse via SVD.
-
-    Singular values at or below rel_tol * sigma_max are treated as zero.
-    """
-    a = as_matrix(a)
-    if not 0.0 < rel_tol < 1.0:
-        raise ValueError("rel_tol must lie in (0, 1)")
-    u, s, vh = np.linalg.svd(a, full_matrices=False)
-    cutoff = rel_tol * (s[0] if s.size else 0.0)
-    inv_s = np.where(s > cutoff, 1.0 / np.where(s > cutoff, s, 1.0), 0.0)
-    return (vh.T * inv_s) @ u.T
-
-
 def least_squares(a, b) -> np.ndarray:
-    """Minimum-norm minimizer of ||a x - b||_2, i.e. pinv(a) @ b."""
+    """Minimum-norm minimizer of ||a x - b||_2, i.e. pinv(a) @ b.
+
+    The pseudoinverse comes from the SVD of a, with singular values at or
+    below 1e-12 * sigma_max treated as zero.
+    """
     a = as_matrix(a, "a")
     b = as_vector(b, "b")
     if a.shape[0] != b.size:
         raise ValueError(f"dimension mismatch: {a.shape} vs length {b.size}")
-    return pseudoinverse(a) @ b
+    u, s, vh = np.linalg.svd(a, full_matrices=False)
+    cutoff = 1e-12 * s[0]
+    inv_s = np.where(s > cutoff, 1.0 / np.where(s > cutoff, s, 1.0), 0.0)
+    return ((vh.T * inv_s) @ u.T) @ b
 
 
 def read_matrix_text(text: str) -> np.ndarray:

@@ -25,32 +25,24 @@ class DegenerateDrawError(RuntimeError):
     """A sampled instance is numerically rank-deficient where full rank is required."""
 
 
-@dataclass(frozen=True)
-class BpdnConfig:
-    """Solver parameters for min ||x||_1 s.t. ||phi x - q||_2 <= epsilon."""
-
-    epsilon: float
-    max_iters: int = 50_000
-    primal_tol: float = 1e-8
-    dual_tol: float = 1e-8
-
-    def __post_init__(self):
-        if not (math.isfinite(self.epsilon) and self.epsilon >= 0):
-            raise ValueError("epsilon must be finite and >= 0")
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be >= 1")
-        if not (self.primal_tol > 0 and self.dual_tol > 0):
-            raise ValueError("tolerances must be positive")
+# A LASSO path has one kink per change of its active set; on the sweeps it
+# takes about one step per nonzero of the minimizer.  The cap only ends a
+# path that rounding keeps from reaching its stop.
+_MAX_STEPS_PER_DIM = 10
+_EPS = float(np.finfo(np.float64).eps)
 
 
 @dataclass(frozen=True)
 class BpdnResult:
-    """Solver output: minimizer estimate plus convergence diagnostics.
+    """Solver output: minimizer plus path diagnostics.
 
-    converged is False when the iteration cap was reached before both the
-    relative primal change and the constraint violation fell below their
-    tolerances; x then holds the best iterate.  gap is a certified bound
-    on the l1 suboptimality (valid whenever x is feasible).
+    iterations counts the path steps taken.  converged is False when the
+    path ended at lambda = 0 with the residual still above epsilon (the
+    constraint set is empty; gap is then inf) or when the step cap stopped
+    it; x then holds the last point on the path.  gap is the l1 objective
+    minus the dual value at y = r / ||phi^T r||_inf, r = q - phi x (for a
+    path run to lambda = 0, at the limit of r / lambda): a certified bound
+    on the l1 suboptimality whenever x is feasible.
     """
 
     x: np.ndarray = field(repr=False)
@@ -60,114 +52,137 @@ class BpdnResult:
     gap: float
 
 
-def bpdn_solve(phi, q, cfg: BpdnConfig) -> BpdnResult:
-    """Basis pursuit denoising by a primal-dual splitting iteration.
+def bpdn_solve(phi, q, epsilon: float) -> BpdnResult:
+    """Basis pursuit denoising, min ||x||_1 s.t. ||phi x - q||_2 <= epsilon.
 
-    Alternates a proximal step on the l1 objective with a projection of
-    the dual variable onto the epsilon-ball around q (Chambolle and Pock,
-    JMIV 2011), using equal step sizes set from the exact ||phi||, the
-    square root of the largest eigenvalue of the smaller Gram matrix.
-    Stops when the relative primal change drops below primal_tol and the
-    constraint violation below dual_tol, or at the iteration cap (then
-    ``converged=False`` and the best iterate is returned).
+    Follows the piecewise-linear LASSO path x(lam) = argmin 1/2 ||phi x - q||^2
+    + lam ||x||_1 down from lam_0 = ||phi^T q||_inf (Osborne, Presnell and
+    Turlach, IMA J. Numer. Anal. 2000; Donoho and Tsaig, IEEE Trans. Inf.
+    Theory 2008).  On each piece the active coefficients move along
+    d = G^{-1} z (G the Gram matrix of the active columns, z their signs),
+    from one thin SVD of those columns.  A piece ends at the first of: an
+    inactive correlation reaches +-lam (the column joins), an active
+    coefficient reaches 0 (it leaves), the residual norm, which falls
+    monotonically, reaches epsilon (x is then the exact minimizer), or lam
+    reaches 0.  With epsilon = 0 the residual event is a double root at
+    lam = 0, so the path simply runs to lam = 0.
 
-    A tall phi (m > n + 1) is first replaced by its (n+1) x n equivalent:
-    with R the triangular QR factor of [phi | q], the iteration runs on
-    phi~ = R[:, :n] and q~ = R[:, n].  The dual variable only ever moves
-    in range(phi) + span(q), on which the orthonormal factor is an
-    isometry, so ||phi x - q|| = ||phi~ x - q~||, ||phi|| = ||phi~|| and
-    every iterate and the stop test agree in exact arithmetic.  The
-    returned violation is measured on the caller's phi and q.
-
-    The feasible set must be nonempty (epsilon at least the distance of q
-    from the range of phi); otherwise the iteration cannot converge.
+    Degenerate inputs: a column that has just left may not rejoin on its
+    old side in the next piece (its correlation still sits at that level);
+    a column that would make the active columns rank deficient (a
+    duplicate, or any column once they span R^m) never joins.
     """
     phi = as_matrix(phi, "phi")
     q = as_vector(q, "q")
     m, n = phi.shape
     if q.size != m:
         raise ValueError(f"dimension mismatch: phi is {phi.shape}, q has length {q.size}")
-    eps = cfg.epsilon
+    if not (math.isfinite(epsilon) and epsilon >= 0):
+        raise ValueError("epsilon must be finite and >= 0")
+    eps = float(epsilon)
 
-    if np.linalg.norm(q) <= eps:
+    q_norm = math.sqrt(q @ q)
+    if q_norm <= eps:
         # Zero is feasible and has minimal possible l1 norm.
         return BpdnResult(x=np.zeros(n), converged=True, iterations=0, violation=0.0, gap=0.0)
-
-    a, b = phi, q  # the pair the iteration runs on
-    if m > n + 1:
-        # Fortran order is LAPACK's layout, so the factorization copies it
-        # without a transpose.
-        aug = np.empty((m, n + 1), order="F")
-        aug[:, :n] = phi
-        aug[:, n] = q
-        rfac = np.linalg.qr(aug, mode="r")
-        a, b = np.ascontiguousarray(rfac[:, :n]), rfac[:, n].copy()
-    at = np.ascontiguousarray(a.T)
-
-    gram = a @ a.T if a.shape[0] <= n else a.T @ a
-    opnorm = math.sqrt(np.linalg.eigvalsh(gram)[-1])
-    if opnorm == 0.0:
-        # phi is the zero matrix and q is outside the ball: infeasible.
-        return BpdnResult(
-            x=np.zeros(n), converged=False, iterations=0,
-            violation=float(np.linalg.norm(q) - eps), gap=math.inf,
-        )
-    tau = sigma = 0.995 / opnorm  # tau*sigma*||phi||^2 < 1
+    at = phi.T
+    c = at @ q  # correlations phi^T r
+    j = int(np.argmax(np.abs(c)))
+    lam = abs(float(c[j]))
+    if lam == 0.0:
+        # q is orthogonal to range(phi) (phi = 0, say): the path is x = 0
+        # and the residual never falls below ||q|| > epsilon.
+        return BpdnResult(x=np.zeros(n), converged=False, iterations=0,
+                          violation=q_norm - eps, gap=math.inf)
 
     x = np.zeros(n)
-    px = np.zeros(b.size)   # a @ x
-    px_prev = px
-    xi = np.zeros(b.size)
-    converged = False
-    iterations = 0
+    active, signs = [j], [math.copysign(1.0, c[j])]
+    svd = np.linalg.svd(phi[:, active], full_matrices=False)
+    sides = np.array([[1.0], [-1.0]])  # row 0: c_i reaches +lam, row 1: -lam
+    left = None  # (side row, column) of the column the last piece dropped
+    done, steps = False, 0
+    while not done and steps < _MAX_STEPS_PER_DIM * min(m, n):
+        steps += 1
+        # On this piece x_A(lam') = x_ls - lam' d and r(lam') = q_perp + lam' v,
+        # with x_ls, q_perp the least-squares solution and residual on the
+        # active columns; both follow from the thin SVD u s vt of phi_A.
+        u, s, vt = svd
+        uq = u.T @ q
+        x_ls = vt.T @ (uq / s)
+        q_perp = q - u @ uq
+        w = (vt @ np.array(signs)) / s
+        d = vt.T @ (w / s)  # G^{-1} z
+        v = u @ w  # phi_A d, orthogonal to q_perp
+        a = at @ v  # correlations phi^T r fall along a as lam falls
 
-    for it in range(1, cfg.max_iters + 1):
-        # v = xi + sigma * (2 px - px_prev)
-        v = 2.0 * px
-        v -= px_prev
-        v *= sigma
-        v += xi
-        # xi = v - sigma * (projection of v / sigma onto the eps-ball around b)
-        p = v / sigma
-        d = p - b
-        nd = math.sqrt(d @ d)
-        if nd > eps:
-            d *= eps / nd
-            d += b
-            p = d
-        p *= sigma
-        v -= p
-        xi = v
+        # Stop events: lam reaches 0, or ||q_perp||^2 + lam'^2 ||v||^2 = eps^2.
+        g_stop = lam
+        if eps > 0.0:
+            disc = (eps * eps - q_perp @ q_perp) / (v @ v)
+            if disc >= 0.0:
+                g_stop = max(0.0, lam - math.sqrt(disc))
 
-        # soft threshold of w at tau: w - clip(w, -tau, tau), with the clip
-        # spelled as maximum and minimum (np.clip costs more per call)
-        w = at @ xi
-        w *= tau
-        np.subtract(x, w, out=w)
-        c = np.maximum(w, -tau)
-        np.minimum(c, tau, out=c)
-        x_new = w - c
-        px_prev = px
-        px = a @ x_new
-        x -= x_new
-        res = px - b
-        rel = math.sqrt(x @ x) / max(1.0, math.sqrt(x_new @ x_new))
-        violation = max(0.0, math.sqrt(res @ res) - eps)
-        x = x_new
-        iterations = it
-        if rel < cfg.primal_tol and violation <= cfg.dual_tol:
-            converged = True
-            break
+        # Drop event: an active coefficient crosses zero.
+        with np.errstate(divide="ignore", invalid="ignore"):
+            cross = -x[active] / d
+        cross[~(cross > 0.0)] = math.inf
+        k_out = int(np.argmin(cross))
+        g_out = float(cross[k_out])
 
-    res = phi @ x - q
+        # Join events: c_i - g a_i = +-(lam - g) for an inactive column i.  A
+        # non-positive rate never gets there (this masks the 0/0 of a column
+        # parallel to an active one); one already at the level joins at once.
+        rate = 1.0 - sides * a
+        with np.errstate(divide="ignore", invalid="ignore"):
+            join = np.where(rate > 0.0, np.maximum(lam - sides * c, 0.0) / rate, math.inf)
+        join[:, active] = math.inf
+        if left is not None:
+            join[left] = math.inf
+        joined = None
+        while True:
+            row, i = divmod(int(np.argmin(join)), n)
+            if not join[row, i] < min(g_stop, g_out):
+                break
+            cand = np.linalg.svd(phi[:, active + [i]], full_matrices=False)
+            sv = cand[1]
+            if sv.size > len(active) and sv[-1] > sv[0] * max(m, sv.size) * _EPS:
+                joined = (i, float(sides[row, 0]), cand)
+                break
+            join[:, i] = math.inf  # dependent on the active columns
+
+        gamma = float(join[row, i]) if joined is not None else min(g_stop, g_out)
+        c -= gamma * a
+        lam -= gamma
+        x[active] = x_ls - lam * d
+        left = None
+        if joined is not None:
+            i, sign, svd = joined
+            active.append(i)
+            signs.append(sign)
+        elif g_out < g_stop:
+            i = active.pop(k_out)
+            left = (int(signs.pop(k_out) < 0.0), i)
+            x[i] = 0.0
+            svd = np.linalg.svd(phi[:, active], full_matrices=False)
+        else:
+            done = True
+
+    res = q - phi @ x
     violation = max(0.0, math.sqrt(res @ res) - eps)
-    # Certified l1 suboptimality from the scaled dual point.
-    scale = max(1.0, float(np.max(np.abs(at @ xi))))
-    xif = xi / scale
-    dual_value = -float(b @ xif) - eps * float(np.linalg.norm(xif))
-    gap = float(np.sum(np.abs(x))) - dual_value
-    return BpdnResult(x=x, converged=converged, iterations=iterations,
-                      violation=violation, gap=gap)
+    y = res
+    if done and lam == 0.0:
+        # The path's end: x minimizes ||phi x - q||, so it is feasible only
+        # if that minimum is within the rounding of a least-squares solve on
+        # the k active columns, m k u (||q|| + ||phi_A|| ||x||).  The dual
+        # point is the limit of r / lam, i.e. the last direction v.
+        bound = m * len(active) * _EPS * (q_norm + float(svd[1][0]) * math.sqrt(x @ x))
+        if violation > bound:
+            return BpdnResult(x=x, converged=False, iterations=steps,
+                              violation=violation, gap=math.inf)
+        y = v
+    y = y / float(np.max(np.abs(at @ y)))
+    gap = float(np.sum(np.abs(x))) - (float(q @ y) - eps * math.sqrt(y @ y))
+    return BpdnResult(x=x, converged=done, iterations=steps, violation=violation, gap=gap)
 
 
 def support_from(x, s: int) -> np.ndarray:
@@ -282,7 +297,6 @@ def full_pipeline(
     k_floor: float = 1.0,
     magnitude_cap_ratio: float = 10.0,
     epsilon: float | None = None,
-    bpdn: BpdnConfig | None = None,
 ) -> RecoveryReport:
     """Measure, quantize, recover, and evaluate one random instance.
 
@@ -307,10 +321,7 @@ def full_pipeline(
     y = phi @ x
     quant = sigma_delta_quantize(y, cfg)
     eps = quantization_noise_bound(m, cfg) if epsilon is None else epsilon
-    bpdn_cfg = bpdn if bpdn is not None else BpdnConfig(epsilon=eps)
-    if bpdn is not None and epsilon is not None and bpdn.epsilon != eps:
-        raise ValueError("conflicting epsilon in bpdn config and epsilon argument")
-    result = bpdn_solve(phi, quant.q, bpdn_cfg)
+    result = bpdn_solve(phi, quant.q, eps)
 
     t_hat = support_from(result.x, s)
     mags = np.sort(np.abs(result.x))[::-1]

@@ -57,11 +57,16 @@ def _rejection_limit(bound: int) -> int:
     return (1 << 64) - ((1 << 64) % bound)
 
 
+def _escape(payload: bytes) -> bytes:
+    """Backslash-escape the tuple syntax, so every encoding parses one way."""
+    return payload.replace(b"\\", b"\\\\").replace(b",", b"\\,").replace(b";", b"\\;")
+
+
 def _encode_label(label) -> bytes:
     if isinstance(label, bytes):
-        return b"b:" + label
+        return b"b:" + _escape(label)
     if isinstance(label, str):
-        return b"s:" + label.encode("utf-8")
+        return b"s:" + _escape(label.encode("utf-8"))
     if isinstance(label, (int, np.integer)):
         return b"i:" + str(int(label)).encode("ascii")
     if isinstance(label, (tuple, list)):
@@ -99,7 +104,8 @@ class RngStream:
     def substream(self, label) -> "RngStream":
         """Derive an independent stream from (this key, label).
 
-        Labels may be ints, strings, bytes, or nested tuples of those.
+        Labels may be ints, strings, bytes, or nested tuples of those;
+        distinct labels hash distinct encodings (a list counts as a tuple).
         The derivation does not consume draws from this stream.
         """
         h = _fnv1a(_encode_label(label))

@@ -12,8 +12,9 @@ import math
 import numpy as np
 import pytest
 
+from oracles import difference_matrix
 from sdcs.cli import main as cli_main
-from sdcs.difference import difference_matrix, inverse_difference_power, singular_profile
+from sdcs.difference import inverse_difference_power, singular_profile
 from sdcs.experiments import (
     SweepConfig,
     run_decay_sweep,
@@ -22,7 +23,7 @@ from sdcs.experiments import (
 )
 from sdcs.measurement import Ensemble, sample_matrix
 from sdcs.quantizer import QuantizerConfig, sigma_delta_quantize
-from sdcs.recovery import BpdnConfig, bpdn_solve, projection_dim
+from sdcs.recovery import bpdn_solve, projection_dim
 from sdcs.rip import projected_matrix, ric_exact, ric_monte_carlo, small_ball_probe
 from sdcs.rng import RngStream
 
@@ -215,7 +216,7 @@ def test_criterion_7_bpdn_soundness(sweep_r1, sweep_r2):
     recs = sweep_r1 + sweep_r2
     slack = max(rec.bpdn_l1_slack for rec in recs)
     viol = max(rec.bpdn_violation for rec in recs)
-    res = bpdn_solve([[2.0, 1.0]], [2.0], BpdnConfig(epsilon=0.0))
+    res = bpdn_solve([[2.0, 1.0]], [2.0], 0.0)
     hand_err = float(np.max(np.abs(res.x - np.array([1.0, 0.0]))))
     ok = slack <= 1e-6 and viol <= 1e-6 and hand_err <= 1e-6
     report(7, ok, f"over {len(recs)} trials: max l1 slack {slack:.2e}, "

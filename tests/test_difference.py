@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 import sdcs.difference as difference
+from oracles import difference_matrix
 from sdcs.difference import (
-    difference_matrix,
     difference_power,
     inverse_difference_power,
     projected_basis,

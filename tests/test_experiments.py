@@ -1,3 +1,6 @@
+import dataclasses
+import math
+
 import numpy as np
 import pytest
 
@@ -72,12 +75,19 @@ def test_csv_header_contract(small_records):
 
 
 def test_csv_roundtrip(small_records):
-    csv = sweep_records_to_csv(small_records)
+    # a degenerate draw leaves a failed row: infinite error and bound, no
+    # projection diagnostic
+    failed = dataclasses.replace(small_records[-1], support_correct=False, err_l2=math.inf,
+                                 bound_eq3=math.inf, sigma_min_proj=math.nan, failed=True)
+    records = small_records + [failed]
+    csv = sweep_records_to_csv(records)
     back = read_sweep_csv(csv)
-    assert len(back) == len(small_records)
-    for a, b in zip(back, small_records):
+    assert sweep_records_to_csv(back) == csv
+    assert len(back) == len(records)
+    for a, b in zip(back, records):
         for col in SWEEP_CSV_COLUMNS:
-            assert getattr(a, col) == getattr(b, col)
+            x, y = getattr(a, col), getattr(b, col)
+            assert x == y or (math.isnan(x) and math.isnan(y))
     with pytest.raises(ValueError, match="header"):
         read_sweep_csv("nope\n1,2\n")
 

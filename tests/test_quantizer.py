@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sdcs.difference import difference_matrix
+from oracles import difference_matrix
 from sdcs.quantizer import (
     QuantizerConfig,
     _round_half_away,

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from sdcs.rng import _NORMAL_BLOCK, RngStream, derive_seed
+from sdcs.rng import _NORMAL_BLOCK, RngStream, _encode_label, derive_seed
 
 MASK = (1 << 64) - 1
 
@@ -179,3 +179,87 @@ def test_label_types():
     assert s.substream(b"raw").key != s.substream("raw").key
     with pytest.raises(TypeError):
         s.substream(3.5)
+
+
+def decode_label(data: bytes):
+    """Parse an encoded substream label back into the label (sequences as tuples)."""
+
+    def parse(data: bytes):
+        tag, data = data[:2], data[2:]
+        if tag == b"t:":
+            items = []
+            if data[:1] == b";":
+                return (), data[1:]
+            while True:
+                item, data = parse(data)
+                items.append(item)
+                sep, data = data[:1], data[1:]
+                if sep == b";":
+                    return tuple(items), data
+                assert sep == b",", "tuple items must be separated by ','"
+        payload, i = bytearray(), 0
+        while i < len(data) and data[i:i + 1] not in (b",", b";"):
+            i += data[i:i + 1] == b"\\"  # an escaped byte is taken literally
+            payload += data[i:i + 1]
+            i += 1
+        value = {b"b:": bytes, b"s:": lambda p: p.decode("utf-8"), b"i:": int}[tag](bytes(payload))
+        return value, data[i:]
+
+    label, rest = parse(data)
+    assert rest == b"", "trailing bytes after the label"
+    return label
+
+
+def unescaped_encoding(label) -> bytes:
+    """The label encoding without escapes, for labels free of '\\', ',' and ';'."""
+    if isinstance(label, bytes):
+        return b"b:" + label
+    if isinstance(label, str):
+        return b"s:" + label.encode("utf-8")
+    if isinstance(label, int):
+        return b"i:" + str(label).encode("ascii")
+    return b"t:" + b",".join(unescaped_encoding(x) for x in label) + b";"
+
+
+def plain(label) -> bool:
+    if isinstance(label, tuple):
+        return all(plain(x) for x in label)
+    if isinstance(label, int):
+        return True
+    raw = label.encode("utf-8") if isinstance(label, str) else label
+    return not any(ch in raw for ch in b"\\,;")
+
+
+SYNTAX = st.text("ab,;\\:it", max_size=6)
+labels = st.recursive(
+    st.one_of(SYNTAX, SYNTAX.map(str.encode), st.integers(-(2**70), 2**70)),
+    lambda inner: st.lists(inner, max_size=4).map(tuple),
+    max_leaves=12,
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(labels)
+@example(("a", "b"))
+@example(("a,s:b",))
+@example(("sweep", 100, 3))
+@example(("sweep,i:100", 3))
+@example(("a\\", "b"))
+@example((b"x;", (), ("",)))
+def test_label_encoding_is_injective_and_keeps_plain_labels(label):
+    # a left inverse proves that distinct labels never share an encoding
+    # (and so never share a stream unless the 64-bit hash collides)
+    enc = _encode_label(label)
+    assert decode_label(enc) == label
+    # every label the package uses is plain: its bytes, and so its stream,
+    # are those of the unescaped encoding
+    if plain(label):
+        assert enc == unescaped_encoding(label)
+
+
+def test_label_collisions_fixed_and_plain_keys_pinned():
+    s = RngStream(1)
+    assert s.substream(("a", "b")).key != s.substream(("a,s:b",)).key
+    assert s.substream(("sweep", 100, 3)).key != s.substream(("sweep,i:100", 3)).key
+    assert RngStream(7).substream(("sweep", 100, 3)).key == 0x069D68D53E75CEE6
+    assert derive_seed(20240, ("sweep", 100, 0)) == 16450368342833144511
