@@ -3,7 +3,8 @@
 Subcommands: gen, quantize, reconstruct, ripscan, sweep, summarize.
 Every command is a pure function of its flags (seeds included), and all
 file outputs are written with fixed float formatting and newlines, so a
-repeated invocation produces byte-identical output.
+repeated invocation at a fixed BLAS thread count produces byte-identical
+output.
 
 Feedback order is capped at 3 here; error bounds degrade quickly with
 the order and the interesting regime is small r.  The library itself

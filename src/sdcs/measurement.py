@@ -15,6 +15,9 @@ import numpy as np
 from .rng import RngStream
 
 ENSEMBLE_KINDS = ("gaussian", "rademacher", "column-model")
+# Correlation roots kept, one dense m x m root per key; a sweep visits one m
+# at a time, so memory stays bounded for any m-grid.
+_ROOT_CACHE_SIZE = 2
 
 
 @dataclass(frozen=True)
@@ -67,7 +70,7 @@ class SparseSignal:
         return x
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_ROOT_CACHE_SIZE)
 def _correlation_root(m: int, corr: float) -> np.ndarray:
     """Symmetric PSD square root of the tridiagonal unit-diagonal correlation."""
     sig = np.eye(m) + corr * (np.eye(m, k=1) + np.eye(m, k=-1))

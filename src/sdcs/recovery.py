@@ -52,6 +52,12 @@ class BpdnResult:
     gap: float
 
 
+def _ls_floor(m: int, sv: np.ndarray, q_norm: float, x: np.ndarray) -> float:
+    """Rounding floor of the residual of a least-squares solve on the k
+    columns with singular values sv: m k u (||q|| + ||phi_A|| ||x||)."""
+    return m * sv.size * _EPS * (q_norm + float(sv[0]) * math.sqrt(x @ x))
+
+
 def bpdn_solve(phi, q, epsilon: float) -> BpdnResult:
     """Basis pursuit denoising, min ||x||_1 s.t. ||phi x - q||_2 <= epsilon.
 
@@ -114,6 +120,11 @@ def bpdn_solve(phi, q, epsilon: float) -> BpdnResult:
         d = vt.T @ (w / s)  # G^{-1} z
         v = u @ w  # phi_A d, orthogonal to q_perp
         a = at @ v  # correlations phi^T r fall along a as lam falls
+        # With epsilon = 0 the piece runs to lam = 0.  Once q_perp is at the
+        # rounding floor of the least-squares solve, the inactive
+        # correlations are lam' a up to rounding, so every join lands at
+        # lam' = 0 with the stop; rounding alone would place one just above.
+        settled = eps == 0.0 and math.sqrt(q_perp @ q_perp) <= _ls_floor(m, s, q_norm, x_ls)
 
         # Stop events: lam reaches 0, or ||q_perp||^2 + lam'^2 ||v||^2 = eps^2.
         g_stop = lam
@@ -138,6 +149,8 @@ def bpdn_solve(phi, q, epsilon: float) -> BpdnResult:
         join[:, active] = math.inf
         if left is not None:
             join[left] = math.inf
+        if settled:
+            join[:] = math.inf
         joined = None
         while True:
             row, i = divmod(int(np.argmin(join)), n)
@@ -173,10 +186,9 @@ def bpdn_solve(phi, q, epsilon: float) -> BpdnResult:
     if done and lam == 0.0:
         # The path's end: x minimizes ||phi x - q||, so it is feasible only
         # if that minimum is within the rounding of a least-squares solve on
-        # the k active columns, m k u (||q|| + ||phi_A|| ||x||).  The dual
-        # point is the limit of r / lam, i.e. the last direction v.
-        bound = m * len(active) * _EPS * (q_norm + float(svd[1][0]) * math.sqrt(x @ x))
-        if violation > bound:
+        # the active columns.  The dual point is the limit of r / lam, i.e.
+        # the last direction v.
+        if violation > _ls_floor(m, svd[1], q_norm, x):
             return BpdnResult(x=x, converged=False, iterations=steps,
                               violation=violation, gap=math.inf)
         y = v

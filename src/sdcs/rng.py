@@ -28,6 +28,9 @@ _TWO_NEG53 = 2.0 ** -53
 # Normals are generated this many at a time, so the temporaries stay small
 # and reuse freed memory instead of mapping fresh pages on every large draw.
 _NORMAL_BLOCK = 4096
+# Support draws take this many indices per batch, so a batch's index pool
+# (2k slots per row of k) holds 1 MiB whatever rows and n are.
+_CHOOSE_BATCH = 1 << 16
 
 
 def _mix64(z: int) -> int:
@@ -50,11 +53,6 @@ def _fnv1a(data: bytes) -> int:
         h ^= b
         h = (h * 0x100000001B3) & _MASK
     return h
-
-
-def _rejection_limit(bound: int) -> int:
-    """Largest multiple of bound not above 2^64: draws below it map uniformly."""
-    return (1 << 64) - ((1 << 64) % bound)
 
 
 def _escape(payload: bytes) -> bytes:
@@ -149,40 +147,97 @@ class RngStream:
         """Uniform integer in [0, bound), exact via rejection sampling."""
         if bound <= 0:
             raise ValueError("bound must be positive")
-        limit = _rejection_limit(bound)
+        cap = int(_accept_max(np.uint64(bound)))
         while True:
             x = int(self.uint64s(1)[0])
-            if x < limit:
+            if x <= cap:
                 return x % bound
-
-    def _prefetched(self, k: int):
-        """Raw draws as Python ints: k fetched at once, then one at a time."""
-        yield from self.uint64s(k).tolist()
-        while True:
-            yield int(self.uint64s(1)[0])
 
     def choose_indices(self, n: int, k: int) -> np.ndarray:
         """Uniformly random k-subset of range(n), sorted ascending.
 
-        Partial Fisher-Yates shuffle; position i takes ``randbelow(n - i)``
-        on the next draws, so the output and the draws consumed are those of
-        k sequential ``randbelow`` calls.  All k draws are fetched at once
-        (each is accepted except with probability below (n - i) / 2^64); a
-        rejected draw is replaced by fetching one more.
+        The one-row case of :meth:`choose_index_rows`.
+        """
+        return self.choose_index_rows(1, n, k)[0]
+
+    def choose_index_rows(self, rows: int, n: int, k: int) -> np.ndarray:
+        """rows independent uniformly random k-subsets of range(n), as a
+        (rows, k) array with each row sorted ascending.
+
+        Each row is a partial Fisher-Yates shuffle in which position i takes
+        ``randbelow(n - i)`` on the next draws, so the output and the draws
+        consumed are those of rows * k sequential ``randbelow`` calls, and
+        row t equals the t-th of rows sequential ``choose_indices`` calls.
+        Draws are fetched a batch of rows at a time.  Each is accepted
+        except with probability below (n - i) / 2^64; a batch with a
+        rejected draw keeps the rows before it, rewinds the counter to the
+        start of that row, redraws the row with one ``randbelow`` call per
+        position and continues with the next.
         """
         if not 1 <= k <= n:
             raise ValueError("need 1 <= k <= n")
-        draws = self._prefetched(k)
-        pool = list(range(n))
-        for i in range(k):
-            bound = n - i
-            limit = _rejection_limit(bound)
-            x = next(draws)
-            while x >= limit:
-                x = next(draws)
-            j = i + x % bound
-            pool[i], pool[j] = pool[j], pool[i]
-        return np.array(sorted(pool[:k]), dtype=np.intp)
+        if rows < 0:
+            raise ValueError("rows must be >= 0")
+        bounds = np.arange(n, n - k, -1, dtype=np.uint64)
+        top = _accept_max(bounds)
+        out = np.empty((rows, k), dtype=np.intp)
+        per_batch = max(1, _CHOOSE_BATCH // k)
+        done = 0
+        while done < rows:
+            count = min(per_batch, rows - done)
+            start = self._counter
+            raw = self.uint64s(count * k).reshape(count, k)
+            rejected = np.any(raw > top, axis=1)
+            if rejected.any():
+                count = int(np.argmax(rejected))
+                self._counter = start + count * k
+                # randbelow's draw mod its bound; the shuffle's mod keeps it
+                raw[count] = [self.randbelow(b) for b in bounds.tolist()]
+                count += 1
+            out[done:done + count] = _partial_shuffle(raw[:count], bounds)
+            done += count
+        return out
+
+
+def _accept_max(bounds):
+    """Largest accepted raw draw per uint64 bound b: draws below the largest
+    multiple of b not above 2^64 map uniformly onto range(b).
+
+    2^64 mod b is ((2^64 - 1) mod b + 1) mod b, so the limit of a
+    power-of-two bound, 2^64, never has to be held in a uint64.
+    """
+    top = np.uint64(_MASK)
+    return top - (top % bounds + np.uint64(1)) % bounds
+
+
+def _partial_shuffle(draws: np.ndarray, bounds: np.ndarray) -> np.ndarray:
+    """Per row of accepted draws, the sorted first k entries of a partial
+    Fisher-Yates shuffle of range(n).
+
+    Step i swaps positions i and j_i = i + draw_i mod bounds_i, with
+    bounds_i = n - i.  Only positions 0..k-1 and the j_i are ever touched,
+    so the pool holds 2k slots, not n: slot i is position i, and a position
+    j >= k lives in slot k + p, where p is the first place of j among the
+    row's sorted j.
+    """
+    rows, k = draws.shape
+    i = np.arange(k)
+    r = np.arange(rows)
+    j = i + (draws % bounds).astype(np.intp)
+    order = np.argsort(j, axis=1)
+    js = j[r[:, None], order]
+    head = np.ones(js.shape, dtype=bool)
+    head[:, 1:] = js[:, 1:] != js[:, :-1]
+    slot = np.empty_like(j)
+    slot[r[:, None], order] = k + np.maximum.accumulate(np.where(head, i, 0), axis=1)
+    slot = np.where(j < k, j, slot)
+    pool = np.empty((rows, 2 * k), dtype=np.intp)
+    pool[:, :k] = i
+    pool[:, k:] = js
+    for t in range(k):
+        c = slot[:, t]
+        pool[r, t], pool[r, c] = pool[r, c], pool[r, t]
+    return np.sort(pool[:, :k], axis=1)
 
 
 def derive_seed(base_seed: int, label) -> int:

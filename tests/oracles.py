@@ -1,5 +1,7 @@
 """Reference operators that only the tests use."""
 
+from itertools import combinations
+
 import numpy as np
 
 
@@ -8,3 +10,43 @@ def difference_matrix(m: int) -> np.ndarray:
     if m < 1:
         raise ValueError("m must be >= 1")
     return np.eye(m) - np.eye(m, k=-1)
+
+
+def randbelow_reference(rng, bound):
+    """Uniform integer in range(bound) from raw draws, rejecting those at
+    or above the largest multiple of bound not above 2^64."""
+    limit = (1 << 64) - (1 << 64) % bound
+    while True:
+        x = int(rng.uint64s(1)[0])
+        if x < limit:
+            return x % bound
+
+
+def choose_indices_reference(rng, n, k):
+    """The sequential definition: one randbelow(n - i) per position."""
+    pool = list(range(n))
+    for i in range(k):
+        j = i + randbelow_reference(rng, n - i)
+        pool[i], pool[j] = pool[j], pool[i]
+    return np.array(sorted(pool[:k]), dtype=np.intp)
+
+
+def every_support_deviation(a, supports) -> float:
+    """Worst eigenvalue deviation from 1 of the Gram submatrices of a on
+    the support rows, every one solved with eigvalsh (floored at 0)."""
+    gram = a.T @ a
+    subs = gram[supports[:, :, None], supports[:, None, :]]
+    w = np.linalg.eigvalsh(subs)
+    return max(0.0, float(np.max(np.maximum(w[:, -1] - 1.0, 1.0 - w[:, 0]))))
+
+
+def ric_exact_reference(a, s: int) -> float:
+    """Exact order-s restricted isometry constant, every support solved."""
+    supports = np.array(list(combinations(range(a.shape[1]), s)), dtype=np.intp)
+    return every_support_deviation(a, supports)
+
+
+def ric_monte_carlo_reference(a, s: int, trials: int, rng) -> float:
+    """Monte Carlo constant over sequentially drawn supports, every one solved."""
+    supports = np.stack([choose_indices_reference(rng, a.shape[1], s) for _ in range(trials)])
+    return every_support_deviation(a, supports)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from sdcs.difference import projected_basis
-from sdcs.measurement import Ensemble, sample_matrix, sample_sparse_signal
+from sdcs.measurement import Ensemble, _correlation_root, sample_matrix, sample_sparse_signal
 from sdcs.rng import RngStream
 
 
@@ -42,6 +42,16 @@ def test_column_model_moments_and_correlation():
     assert 0.27 < adjacent < 0.33
     two_apart = np.mean(a[:-2, :] * a[2:, :])
     assert abs(two_apart) < 0.03
+
+
+def test_correlation_root_cache_stays_bounded():
+    ens = Ensemble("column-model")
+    first = sample_matrix(ens, 6, 3, RngStream(1))
+    for m in (6, 7, 8, 9, 10):
+        sample_matrix(ens, m, 3, RngStream(m))
+    assert _correlation_root.cache_info().currsize <= 2
+    # m = 6 was evicted; its recomputed root draws the same bits
+    assert sample_matrix(ens, 6, 3, RngStream(1)).tobytes() == first.tobytes()
 
 
 def test_sample_matrix_validates_dims():

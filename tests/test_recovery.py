@@ -119,6 +119,24 @@ class TestBpdn:
         best = min(basic, key=lambda x: np.sum(np.abs(x)))
         assert np.max(np.abs(res.x - best)) <= 1e-12
 
+    def test_no_rounding_joins_at_zero_epsilon(self):
+        # q = 0.64 phi_0 lies in the span of column 0.  Where that column
+        # leads the path, its first piece runs to lam = 0 and ends on
+        # x = 0.64 e_0; rounding in the residual must not let the other
+        # columns join just above lam = 0.
+        led = 0
+        for seed in range(200):
+            phi = RngStream(seed).normals(12).reshape(4, 3)
+            q = 0.64 * phi[:, 0]
+            if int(np.argmax(np.abs(phi.T @ q))) != 0:
+                continue
+            led += 1
+            res = bpdn_solve(phi, q, 0.0)
+            assert res.converged
+            assert res.iterations == 1
+            assert np.flatnonzero(res.x).tolist() == [0]
+        assert led == 162
+
     def test_config_validation(self):
         for eps in (-1.0, math.nan, math.inf):
             with pytest.raises(ValueError, match="epsilon"):

@@ -1,8 +1,13 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import sdcs.rip as rip
+from oracles import ric_exact_reference, ric_monte_carlo_reference
 from sdcs.measurement import Ensemble, sample_matrix
 from sdcs.rip import (
     SmallBallSummary,
@@ -36,10 +41,11 @@ def test_exact_monotone_in_order():
     assert all(b >= a_ - 1e-12 for a_, b in zip(values, values[1:]))
 
 
-def test_exact_cap():
-    a = np.ones((2, 40))
+def test_exact_cap(monkeypatch):
+    monkeypatch.setattr(rip, "ENUMERATION_CAP", 1000)
     with pytest.raises(ValueError, match="monte_carlo"):
-        ric_exact(a, 10, enumeration_cap=1000)
+        ric_exact(np.ones((2, 40)), 10)
+    assert ric_exact(np.ones((2, 10)), 3).supports_checked == 120
 
 
 def test_exact_matches_definition_spot_check():
@@ -88,6 +94,67 @@ def test_gaussian_rip_regime_monte_carlo():
     phi = sample_matrix(Ensemble("gaussian"), 200, 40, RngStream(12))
     est = ric_monte_carlo(phi / math.sqrt(200), 4, 2000, RngStream(13))
     assert est.value < 1.0 / math.sqrt(2.0)
+
+
+@st.composite
+def scan_inputs(draw):
+    """(a, s) with s = 1 and s = n among the orders, over gaussian,
+    identical, orthonormal and orthogonal (diagonal Gram) columns.  A
+    diagonal Gram makes the Gershgorin bound exact, so only the pruning
+    margin separates solving a support from skipping it."""
+    kind = draw(st.sampled_from(["gaussian", "identical", "orthonormal", "diagonal"]))
+    n = draw(st.integers(1, 8))
+    m = draw(st.integers(n, 10))
+    s = draw(st.sampled_from([1, n]) | st.integers(1, n))
+    g = RngStream(draw(st.integers(0, 2**32))).normals(m * m).reshape(m, m)
+    if kind == "gaussian":
+        a = g[:, :n] / math.sqrt(m)
+    elif kind == "identical":
+        a = np.repeat(g[:, :1], n, axis=1) / np.linalg.norm(g[:, 0])
+    elif kind == "orthonormal":
+        a = np.linalg.qr(g)[0][:, :n]
+    else:
+        a = np.zeros((m, n))
+        a[np.arange(n), np.arange(n)] = np.abs(g[0, :n]) + 0.5
+    return a, s
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(scan_inputs(), st.integers(1, 40), st.integers(0, 2**32),
+       st.sampled_from([(16_384, 256), (5, 2), (3, 1)]))
+@example((np.eye(3), 3), 1, 0, (16_384, 256))
+@example((np.diag([1.5, 0.5, 1.5, 0.5]), 2), 30, 1, (5, 2))
+def test_pruned_scans_equal_every_support_scan(inputs, trials, seed, sizes):
+    # Small blocks and chunks send one scan through many of both.
+    a, s = inputs
+    with mock.patch.multiple(rip, _BLOCK=sizes[0], _CHUNK=sizes[1]):
+        exact = ric_exact(a, s)
+        mc_stream, ref_stream = RngStream(seed), RngStream(seed)
+        mc = ric_monte_carlo(a, s, trials, mc_stream)
+    assert exact.value == ric_exact_reference(a, s)
+    assert mc.value == ric_monte_carlo_reference(a, s, trials, ref_stream)
+    assert mc_stream.counter == ref_stream.counter
+
+
+def test_exact_scan_solves_few_supports_on_rip_diag_instance(monkeypatch):
+    # The first exact instance of the rip-diag benchmark workload (seed
+    # 20240): a gaussian 200 x 48 matrix, its scaled 16-row order-2
+    # projection and delta_4 over all comb(48, 4) = 194,580 supports.
+    # Losing the pruning sends every support to eigvalsh.
+    solved = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counting(x):
+        solved.append(x.shape[0])
+        return eigvalsh(x)
+
+    phi = sample_matrix(Ensemble("gaussian"), 200, 48,
+                        RngStream(20240).substream(("exact", "matrix", 0)))
+    a = projected_matrix(phi, 2, 16)
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+    est = ric_exact(a, 4)
+    assert est.supports_checked == 194_580
+    assert sum(solved) < 0.1 * 194_580
 
 
 def test_projected_matrix_shape_and_scaling():

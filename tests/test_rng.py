@@ -1,10 +1,13 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import sdcs.rng as rng_module
+from oracles import choose_indices_reference
 from sdcs.rng import _NORMAL_BLOCK, RngStream, _encode_label, derive_seed
 
 MASK = (1 << 64) - 1
@@ -106,15 +109,6 @@ def test_choose_indices_basic():
         rng.choose_indices(5, 6)
 
 
-def choose_indices_reference(rng, n, k):
-    """The sequential definition: one randbelow(n - i) per position."""
-    pool = list(range(n))
-    for i in range(k):
-        j = i + rng.randbelow(n - i)
-        pool[i], pool[j] = pool[j], pool[i]
-    return np.array(sorted(pool[:k]), dtype=np.intp)
-
-
 def test_choose_indices_matches_sequential_randbelow():
     for seed in range(20):
         for n, k in ((256, 4), (10, 10), (7, 1), (1000, 37)):
@@ -144,6 +138,62 @@ def test_choose_indices_rejected_draws(monkeypatch):
     # bound 5 rejects top and takes 7; bound 4 rejects nothing (2^64 mod 4 = 0)
     # and takes top; bound 3 rejects top and takes 11: five draws in all
     assert a.counter == b.counter == 5
+
+
+class ScriptedStream(RngStream):
+    """Raw draw number p is script[p], so a rewound counter replays draws."""
+
+    def __init__(self, script):
+        super().__init__(0)
+        self.script = script
+
+    def uint64s(self, n):
+        out = np.array(self.script[self._counter:self._counter + n], dtype=np.uint64)
+        assert out.size == n, "script exhausted"
+        self._counter += n
+        return out
+
+
+@st.composite
+def draw_plans(draw):
+    """(rows, n, k, batch, tops, seed): tops are the script positions set to
+    2^64 - 1, which every bound rejects except a power of two (limit 2^64)."""
+    n = draw(st.integers(1, 20))
+    k = draw(st.integers(1, n))
+    rows = draw(st.integers(0, 9))
+    batch = draw(st.integers(1, 3 * k))
+    tops = sorted(draw(st.sets(st.integers(0, max(0, rows * k - 1)), max_size=4))) if rows else []
+    return rows, n, k, batch, tops, draw(st.integers(0, 2**64 - 1))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(draw_plans())
+# Row 1 rejects its first draw (bound 5) and takes top at bound 4 = 2^2.
+@example((3, 5, 3, 1 << 16, [3, 5], 1))
+# One row per batch; bound 8 takes top, bounds 7 and 6 reject it.
+@example((4, 8, 3, 3, [0, 4, 8], 2))
+def test_batched_draws_equal_sequential_calls(plan):
+    rows, n, k, batch, tops, seed = plan
+    script = RngStream(seed).uint64s(rows * k + 8).tolist()
+    for p in tops:
+        script[p] = (1 << 64) - 1
+    batched, calls, ref = (ScriptedStream(script) for _ in range(3))
+    with mock.patch.object(rng_module, "_CHOOSE_BATCH", batch):
+        got = batched.choose_index_rows(rows, n, k)
+        stacked = [calls.choose_indices(n, k) for _ in range(rows)]
+    want = [choose_indices_reference(ref, n, k) for _ in range(rows)]
+    assert got.shape == (rows, k) and got.dtype == np.intp
+    assert np.array_equal(got, np.array(want, dtype=np.intp).reshape(rows, k))
+    assert np.array_equal(got, np.array(stacked, dtype=np.intp).reshape(rows, k))
+    assert batched.counter == calls.counter == ref.counter
+
+
+def test_choose_index_rows_validates():
+    with pytest.raises(ValueError):
+        RngStream(0).choose_index_rows(-1, 5, 2)
+    with pytest.raises(ValueError):
+        RngStream(0).choose_index_rows(3, 5, 6)
+    assert RngStream(0).choose_index_rows(0, 5, 2).shape == (0, 2)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
