@@ -15,18 +15,19 @@ across many trials:
 
 The basis comes from block subspace iteration that applies the inverse
 power as r running sums, so no dense m x m matrix and no m x m SVD is
-formed for it.  The full singular value profile (``singular_profile``) is
-the one dense SVD left; it is uncached.
+formed for it.  It starts from the closed-form right singular vectors of
+the first inverse power, so at r = 1 it is exact after one step.  The full
+singular value profile (``singular_profile``) is the one dense SVD left;
+it is uncached.
 """
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-
-from .rng import RngStream
 
 # Keys each cache keeps.  A sweep visits one (m, r) at a time; two dense
 # powers cover an interleaving of two orders.
@@ -112,10 +113,20 @@ def _top_right_singular_rows(m: int, r: int, ell: int) -> np.ndarray:
     m <= 5000), which exceeds 1e-12 for r = 3 and large ell; the stop then
     accepts a small multiple of that floor instead of iterating to the cap.
     With b = m the first Rayleigh-Ritz step is exact.
+
+    The start block is the top-b right singular vectors of D^{-1}: the
+    eigenvectors cos(theta_j (k + 1/2)), theta_j = (2j - 1) pi / (2m + 1),
+    of D D^T, the second-difference matrix with a 1 in its (0, 0) entry
+    (the DCT family; Strang, SIAM Review 1999).  At r = 1 the first Ritz
+    basis is exact to rounding and the stop passes at the second step.  At
+    r = 2 and 3 the top-ell subspace lies within sine 0.10 and 0.21 of the
+    start's span (measured against the dense SVD for m <= 1000 and ell up
+    to 3 ceil(m (5/m)^0.7)), so every target direction is present and the
+    iteration takes 9 and 6 steps.
     """
     b = min(m, 2 * ell + 8)
-    start = RngStream(0).substream("projected-basis").normals(m * b).reshape(m, b)
-    q, _ = np.linalg.qr(start)
+    theta = (2.0 * np.arange(1, b + 1) - 1.0) * (math.pi / (2 * m + 1))
+    q, _ = np.linalg.qr(np.cos(np.outer(np.arange(m) + 0.5, theta)))
     prev = None
     for _ in range(_BASIS_MAX_ITERS):
         u, s, wt = np.linalg.svd(_apply_power(q, r), full_matrices=False)

@@ -71,7 +71,9 @@ def bpdn_solve(phi, q, epsilon: float) -> BpdnResult:
     coefficient reaches 0 (it leaves), the residual norm, which falls
     monotonically, reaches epsilon (x is then the exact minimizer), or lam
     reaches 0.  With epsilon = 0 the residual event is a double root at
-    lam = 0, so the path simply runs to lam = 0.
+    lam = 0, so the path simply runs to lam = 0; a coefficient that ends
+    there within the rounding of its least-squares solve of 0 leaves at
+    the stop.
 
     Degenerate inputs: a column that has just left may not rejoin on its
     old side in the next piece (its correlation still sits at that level);
@@ -139,6 +141,15 @@ def bpdn_solve(phi, q, epsilon: float) -> BpdnResult:
         cross[~(cross > 0.0)] = math.inf
         k_out = int(np.argmin(cross))
         g_out = float(cross[k_out])
+        drop = g_out < g_stop
+        if eps == 0.0 and not drop and len(active) > 1:
+            # The piece runs to lam = 0, where x_A = x_ls.  A coefficient of
+            # x_ls within the rounding of the solve of 0 leaves there: its
+            # drop coincides with the stop, and rounding alone would place
+            # it just past lam = 0 and leave dust.
+            tiny = np.abs(x_ls) <= _ls_floor(m, s, q_norm, x_ls) / float(s[-1])
+            if tiny.any():
+                k_out, drop = int(np.argmax(tiny)), True
 
         # Join events: c_i - g a_i = +-(lam - g) for an inactive column i.  A
         # non-positive rate never gets there (this masks the 0/0 of a column
@@ -172,7 +183,7 @@ def bpdn_solve(phi, q, epsilon: float) -> BpdnResult:
             i, sign, svd = joined
             active.append(i)
             signs.append(sign)
-        elif g_out < g_stop:
+        elif drop:
             i = active.pop(k_out)
             left = (int(signs.pop(k_out) < 0.0), i)
             x[i] = 0.0

@@ -21,13 +21,19 @@ _GAMMA = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
 
-_U_GAMMA = np.uint64(_GAMMA)
 _U_MIX1 = np.uint64(_MIX1)
 _U_MIX2 = np.uint64(_MIX2)
+_U11, _U27, _U30, _U31 = (np.uint64(k) for k in (11, 27, 30, 31))
 _TWO_NEG53 = 2.0 ** -53
-# Normals are generated this many at a time, so the temporaries stay small
-# and reuse freed memory instead of mapping fresh pages on every large draw.
-_NORMAL_BLOCK = 4096
+# 2 pi * 2^-53: a power-of-two rescaling of 2 pi, so k * _ANGLE is
+# bit-identical to 2 pi * (k * 2^-53).
+_ANGLE = 2.0 * math.pi * _TWO_NEG53
+# Normals are generated this many at a time in preallocated buffers (three
+# arrays of 2 * _NORMAL_BLOCK words, about 400 KB), which stay in cache.
+_NORMAL_BLOCK = 8192
+# _STEPS[j] = (j + 1) * GAMMA mod 2^64, so draw j (from 0) after the first
+# c draws of a stream is mix64(key + c * GAMMA + _STEPS[j]).
+_STEPS = np.arange(1, 2 * _NORMAL_BLOCK + 1, dtype=np.uint64) * np.uint64(_GAMMA)
 # Support draws take this many indices per batch, so a batch's index pool
 # (2k slots per row of k) holds 1 MiB whatever rows and n are.
 _CHOOSE_BATCH = 1 << 16
@@ -41,10 +47,15 @@ def _mix64(z: int) -> int:
     return z ^ (z >> 31)
 
 
-def _mix64_array(z: np.ndarray) -> np.ndarray:
-    z = (z ^ (z >> np.uint64(30))) * _U_MIX1
-    z = (z ^ (z >> np.uint64(27))) * _U_MIX2
-    return z ^ (z >> np.uint64(31))
+def _splitmix_into(start: int, steps: np.ndarray, out: np.ndarray, tmp: np.ndarray) -> None:
+    """out = mix64(start + steps) elementwise, computed in place in out;
+    tmp is scratch of out's length."""
+    np.add(steps, np.uint64(start & _MASK), out=out)
+    np.bitwise_xor(out, np.right_shift(out, _U30, out=tmp), out=out)
+    np.multiply(out, _U_MIX1, out=out)
+    np.bitwise_xor(out, np.right_shift(out, _U27, out=tmp), out=out)
+    np.multiply(out, _U_MIX2, out=out)
+    np.bitwise_xor(out, np.right_shift(out, _U31, out=tmp), out=out)
 
 
 def _fnv1a(data: bytes) -> int:
@@ -109,13 +120,23 @@ class RngStream:
         h = _fnv1a(_encode_label(label))
         return RngStream(_mix64(self._key ^ _mix64(h ^ _GAMMA)))
 
+    def _advance(self, n: int) -> int:
+        """Consume n draws; return start, so draw j of them is
+        mix64(start + _STEPS[j])."""
+        start = self._key + self._counter * _GAMMA
+        self._counter += n
+        return start
+
     def uint64s(self, n: int) -> np.ndarray:
         """Next n raw 64-bit outputs as a uint64 array."""
         if n < 0:
             raise ValueError("n must be >= 0")
-        idx = np.arange(self._counter + 1, self._counter + n + 1, dtype=np.uint64)
-        self._counter += n
-        return _mix64_array(np.uint64(self._key) + idx * _U_GAMMA)
+        out = np.empty(n, dtype=np.uint64)
+        tmp = np.empty(min(n, _STEPS.size), dtype=np.uint64)
+        for lo in range(0, n, _STEPS.size):
+            hi = min(n, lo + _STEPS.size)
+            _splitmix_into(self._advance(hi - lo), _STEPS[:hi - lo], out[lo:hi], tmp[:hi - lo])
+        return out
 
     def uniforms(self, n: int) -> np.ndarray:
         """n doubles uniform on [0, 1), 53-bit resolution."""
@@ -125,17 +146,34 @@ class RngStream:
         """n standard normal variates via the Box-Muller transform.
 
         Consumes exactly 2n raw draws: draw 2i feeds the radius (mapped
-        to (0, 1] so the log is finite), draw 2i+1 the angle.
+        to (0, 1] so the log is finite), draw 2i+1 the angle.  A block of
+        k normals holds its k radius draws, then its k angle draws,
+        contiguously, and transforms them in place.
         """
         if n < 0:
             raise ValueError("n must be >= 0")
         out = np.empty(n)
+        size = 2 * min(n, _NORMAL_BLOCK)
+        raw = np.empty(size, dtype=np.uint64)
+        tmp = np.empty(size, dtype=np.uint64)
+        unit = np.empty(size)
         for lo in range(0, n, _NORMAL_BLOCK):
-            hi = min(n, lo + _NORMAL_BLOCK)
-            raw = self.uint64s(2 * (hi - lo))
-            u1 = ((raw[0::2] >> np.uint64(11)).astype(np.float64) + 1.0) * _TWO_NEG53
-            u2 = (raw[1::2] >> np.uint64(11)).astype(np.float64) * _TWO_NEG53
-            np.multiply(np.sqrt(-2.0 * np.log(u1)), np.cos(2.0 * math.pi * u2), out=out[lo:hi])
+            k = min(n - lo, _NORMAL_BLOCK)
+            z, u = raw[:2 * k], unit[:2 * k]
+            start = self._advance(2 * k)
+            _splitmix_into(start, _STEPS[0:2 * k:2], z[:k], tmp[:k])
+            _splitmix_into(start, _STEPS[1:2 * k:2], z[k:], tmp[k:2 * k])
+            np.right_shift(z, _U11, out=z)
+            np.copyto(u, z)
+            radius, angle = u[:k], u[k:]
+            radius += 1.0
+            radius *= _TWO_NEG53
+            np.log(radius, out=radius)
+            radius *= -2.0
+            np.sqrt(radius, out=radius)
+            angle *= _ANGLE
+            np.cos(angle, out=angle)
+            np.multiply(radius, angle, out=out[lo:lo + k])
         return out
 
     def rademacher(self, n: int) -> np.ndarray:

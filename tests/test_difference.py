@@ -147,9 +147,9 @@ def principal_sine(rows_a, rows_b):
     return np.linalg.norm(resid, 2)
 
 
-@pytest.mark.parametrize("m", [8, 64, 512])
-@pytest.mark.parametrize("r", [1, 2, 3])
-def test_projected_basis_spans_dense_top_right_singular_vectors(m, r):
+@pytest.mark.parametrize(
+    ("r", "m"), [(r, m) for r in (1, 2, 3) for m in (8, 64, 512)] + [(3, 1000)])
+def test_projected_basis_spans_dense_top_right_singular_vectors(r, m):
     vt = np.linalg.svd(inverse_difference_power(m, r))[2]
     for ell in sorted({1, math.ceil(m * (5 / m) ** 0.7), m}):
         w = projected_basis(m, r, ell)
@@ -182,6 +182,26 @@ def test_projected_basis_iteration_cap_raises(monkeypatch):
     difference._top_right_singular_rows.cache_clear()
     try:
         with pytest.raises(RuntimeError, match="did not converge"):
-            projected_basis(400, 1, 20)
+            projected_basis(400, 2, 20)
     finally:
         difference._top_right_singular_rows.cache_clear()
+
+
+def test_order_one_basis_converges_at_the_second_step(monkeypatch):
+    # The start block is the closed-form top-b right singular subspace of
+    # D^{-1}, so the first Ritz basis is exact and the stop passes at the
+    # second: one SVD per step.
+    calls = []
+    svd = np.linalg.svd
+
+    def counted(*args, **kwargs):
+        calls.append(args[0].shape)
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    difference._top_right_singular_rows.cache_clear()
+    try:
+        projected_basis(2000, 1, 31)
+    finally:
+        difference._top_right_singular_rows.cache_clear()
+    assert calls == [(2000, 70), (2000, 70)]

@@ -1,12 +1,17 @@
 import dataclasses
 import math
+from functools import cache
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import sdcs.difference as difference
 from sdcs.experiments import (
     SWEEP_CSV_COLUMNS,
     SweepConfig,
+    SweepRecord,
     build_sweep_config,
     fit_loglog_slope,
     msq_trial,
@@ -21,7 +26,7 @@ from sdcs.experiments import (
     trial_seed,
 )
 from sdcs.measurement import Ensemble
-from sdcs.recovery import draw_instance
+from sdcs.recovery import draw_instance, full_pipeline
 from sdcs.rng import RngStream
 
 SMALL = SweepConfig(ensemble="gaussian", n=48, s=3, r=1, delta=0.05,
@@ -63,6 +68,47 @@ def test_record_count_and_order(small_records):
 def test_sweep_deterministic(small_records):
     again = run_decay_sweep(SMALL)
     assert sweep_records_to_csv(again) == sweep_records_to_csv(small_records)
+
+
+ORDER_CONFIGS = {r: dataclasses.replace(SMALL, r=r, m_grid=(24, 40, 64)) for r in (1, 2)}
+TRIALS = [(r, m, t) for r, cfg in ORDER_CONFIGS.items()
+          for m in cfg.m_grid for t in range(cfg.trials)]
+
+
+@cache
+def sweep_lines():
+    """CSV line of each (r, m, trial) as the whole sweep prints it."""
+    lines = {}
+    for r, cfg in ORDER_CONFIGS.items():
+        records = run_decay_sweep(cfg)
+        assert not any(rec.failed for rec in records)
+        rows = sweep_records_to_csv(records).splitlines()[1:]
+        lines.update(((r, rec.m, rec.trial), row) for rec, row in zip(records, rows))
+    return lines
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(st.lists(st.tuples(st.sampled_from(TRIALS), st.booleans()),
+                min_size=1, max_size=8, unique_by=lambda step: step[0]))
+def test_any_subset_and_order_of_trials_reproduces_the_sweep_rows(plan):
+    # Each step runs one (r, m, trial) alone, after clearing the per-(m, r)
+    # caches (cold) or with whatever keys the earlier steps left (warm).
+    want = sweep_lines()
+    for (r, m, trial), cold in plan:
+        if cold:
+            difference.difference_power.cache_clear()
+            difference._top_right_singular_rows.cache_clear()
+        cfg = ORDER_CONFIGS[r]
+        seed = trial_seed(cfg.seed, m, trial)
+        rep = full_pipeline(Ensemble(cfg.ensemble), cfg.n, cfg.s, m, r, cfg.delta,
+                            cfg.alpha, RngStream(seed))
+        rec = SweepRecord(
+            ensemble=cfg.ensemble, n=cfg.n, s=cfg.s, m=m, r=r, delta=cfg.delta,
+            alpha=cfg.alpha, ell=rep.ell, trial=trial, seed=seed,
+            support_correct=rep.support_correct, err_l2=rep.err_l2,
+            bound_eq3=rep.err_bound, sigma_min_proj=rep.sigma_min_proj,
+        )
+        assert sweep_records_to_csv([rec]).splitlines()[1] == want[(r, m, trial)]
 
 
 def test_csv_header_contract(small_records):

@@ -137,6 +137,16 @@ class TestBpdn:
             assert np.flatnonzero(res.x).tolist() == [0]
         assert led == 162
 
+    def test_zero_epsilon_path_ends_on_the_spanning_column(self):
+        # The same family whatever column leads: where another column leads,
+        # its coefficient reaches 0 exactly at lam = 0, so its drop coincides
+        # with the stop and must be taken there, not left as dust.
+        for seed in range(200):
+            phi = RngStream(seed).normals(12).reshape(4, 3)
+            res = bpdn_solve(phi, 0.64 * phi[:, 0], 0.0)
+            assert res.converged
+            assert np.flatnonzero(res.x).tolist() == [0], (seed, res.x)
+
     def test_config_validation(self):
         for eps in (-1.0, math.nan, math.inf):
             with pytest.raises(ValueError, match="epsilon"):

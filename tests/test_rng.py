@@ -196,20 +196,45 @@ def test_choose_index_rows_validates():
     assert RngStream(0).choose_index_rows(0, 5, 2).shape == (0, 2)
 
 
+# uint64s fills blocks of this many raw draws, normals blocks of half as many
+RAW_BLOCK = 2 * _NORMAL_BLOCK
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(st.integers(0, RAW_BLOCK + 3), st.integers(0, 2 * RAW_BLOCK + 3), st.integers(0, 2**64 - 1))
+@example(0, RAW_BLOCK, 1)
+@example(1, RAW_BLOCK + 1, 2**64 - 1)
+@example(RAW_BLOCK - 1, 2 * RAW_BLOCK + 1, 5)
+def test_uint64s_after_a_prefix_match_scalar_reference(c, n, seed):
+    s = RngStream(seed)
+    s.uint64s(c)
+    got = s.uint64s(n)
+    assert s.counter == c + n
+    want = [splitmix_reference(seed, i) for i in range(c + 1, c + n + 1)]
+    assert got.tolist() == want
+
+
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(st.integers(0, 2 * _NORMAL_BLOCK + 3), st.integers(0, 2 * _NORMAL_BLOCK + 3),
-       st.integers(0, 2**64 - 1))
-@example(_NORMAL_BLOCK - 1, 1, 7)
-@example(_NORMAL_BLOCK, _NORMAL_BLOCK + 1, 8)
-@example(1, 2 * _NORMAL_BLOCK - 1, 9)
-def test_normals_chunking_and_box_muller(a, b, seed):
+       st.integers(0, RAW_BLOCK + 3), st.integers(0, 2**64 - 1))
+@example(_NORMAL_BLOCK - 1, 1, 0, 7)
+@example(_NORMAL_BLOCK, _NORMAL_BLOCK + 1, 0, 8)
+@example(1, 2 * _NORMAL_BLOCK - 1, 0, 9)
+@example(_NORMAL_BLOCK + 1, _NORMAL_BLOCK, 1, 10)
+@example(3, 2 * _NORMAL_BLOCK + 1, RAW_BLOCK - 1, 2**64 - 1)
+def test_normals_chunking_and_box_muller(a, b, c, seed):
+    # c raw draws before the normals shift the block starts off the step table
     s1, s2 = RngStream(seed), RngStream(seed)
+    s1.uint64s(c)
+    s2.uint64s(c)
     split = np.concatenate([s1.normals(a), s1.normals(b)])
     whole = s2.normals(a + b)
     assert split.tobytes() == whole.tobytes()
-    assert s1.counter == s2.counter == 2 * (a + b)
+    assert s1.counter == s2.counter == c + 2 * (a + b)
     # one-shot Box-Muller over the same raw draws
-    raw = RngStream(seed).uint64s(2 * (a + b))
+    oracle = RngStream(seed)
+    oracle.uint64s(c)
+    raw = oracle.uint64s(2 * (a + b))
     u1 = ((raw[0::2] >> np.uint64(11)).astype(np.float64) + 1.0) * 2.0 ** -53
     u2 = (raw[1::2] >> np.uint64(11)).astype(np.float64) * 2.0 ** -53
     want = np.sqrt(-2.0 * np.log(u1)) * np.cos(2.0 * math.pi * u2)
