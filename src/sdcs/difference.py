@@ -5,13 +5,15 @@ subdiagonal); its inverse is the running-sum operator.  Inverse powers
 have an exact integer-valued closed form: entry (i, j) of the r-th
 inverse power is binomial(i - j + r - 1, r - 1) for i >= j.
 
-Two small bounded LRU caches serve the sweeps, which reuse one (m, r)
-across many trials:
+Two small bounded caches serve the sweeps, which reuse one (m, r) across
+many trials:
 
-- ``difference_power(m, r)`` holds the dense r-th inverse power, m*m
-  doubles per key (32 MB at m=2000), for the noise-shaping reconstruction;
+- ``difference_power(m, r)`` keeps the dense r-th inverse power of the last
+  (m, r) only, m*m doubles (32 MB at m=2000), for the noise-shaping
+  reconstruction, and releases it before building another;
 - ``projected_basis(m, r, ell)`` holds the top-ell right singular vectors
-  of that power, ell*m doubles per key (0.5 MB at m=2000, ell=31).
+  of that power in an LRU cache, ell*m doubles per key (0.5 MB at m=2000,
+  ell=31).
 
 The basis comes from block subspace iteration that applies the inverse
 power as r running sums, so no dense m x m matrix and no m x m SVD is
@@ -29,9 +31,7 @@ from functools import lru_cache
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-# Keys each cache keeps.  A sweep visits one (m, r) at a time; two dense
-# powers cover an interleaving of two orders.
-_POWER_CACHE_SIZE = 2
+# Keys the basis cache keeps.
 _BASIS_CACHE_SIZE = 8
 
 # Subspace iteration: stop once the sine of the largest principal angle
@@ -65,14 +65,24 @@ def inverse_difference_power(m: int, r: int) -> np.ndarray:
     return sliding_window_view(padded, m)[:, ::-1].copy()
 
 
-@lru_cache(maxsize=_POWER_CACHE_SIZE)
-def difference_power(m: int, r: int) -> np.ndarray:
-    """Cached dense r-th inverse difference power for dimension m.
+# difference_power's one kept entry, (m, r) -> dense power, or empty.
+_power_slot: dict[tuple[int, int], np.ndarray] = {}
 
-    The returned array is read-only; it is shared across callers.
+
+def difference_power(m: int, r: int) -> np.ndarray:
+    """Dense r-th inverse difference power for dimension m, kept for the
+    last (m, r) asked for.
+
+    A sweep visits one (m, r) at a time, so one slot serves it.  The kept
+    array is dropped before a new one is built, so the module never holds
+    two.  The returned array is read-only; it is shared across callers.
     """
+    if (m, r) in _power_slot:
+        return _power_slot[m, r]
+    _power_slot.clear()
     inv = inverse_difference_power(m, r)
     inv.setflags(write=False)
+    _power_slot[m, r] = inv
     return inv
 
 

@@ -89,11 +89,11 @@ class SweepRecord:
     err_l2: float
     bound_eq3: float
     sigma_min_proj: float
-    # diagnostics beyond the CSV contract
+    # diagnostics beyond the CSV contract; nan and None where not recorded
     bpdn_l1_slack: float = math.nan
     bpdn_violation: float = math.nan
-    bpdn_converged: bool = True
-    support_tie_flag: bool = False
+    bpdn_converged: bool | None = None
+    support_tie_flag: bool | None = None
     failed: bool = False
 
 
@@ -159,7 +159,11 @@ def sweep_records_to_csv(records: list[SweepRecord]) -> str:
 
 
 def read_sweep_csv(text: str) -> list[SweepRecord]:
-    """Parse a sweep CSV back into records (diagnostic fields default)."""
+    """Parse a sweep CSV back into records.
+
+    The diagnostics the CSV does not carry read back as nan or None;
+    failed is recovered from the row, as err_l2 == inf.
+    """
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines or tuple(lines[0].split(",")) != SWEEP_CSV_COLUMNS:
         raise ValueError("not a sweep CSV: bad or missing header")
@@ -169,13 +173,14 @@ def read_sweep_csv(text: str) -> list[SweepRecord]:
         if len(parts) != len(SWEEP_CSV_COLUMNS):
             raise ValueError(f"bad sweep CSV row: {ln!r}")
         d = dict(zip(SWEEP_CSV_COLUMNS, parts))
+        err = float(d["err_l2"])
         records.append(SweepRecord(
             ensemble=d["ensemble"], n=int(d["n"]), s=int(d["s"]), m=int(d["m"]),
             r=int(d["r"]), delta=float(d["delta"]), alpha=float(d["alpha"]),
             ell=int(d["ell"]), trial=int(d["trial"]), seed=int(d["seed"]),
             support_correct=d["support_correct"] == "1",
-            err_l2=float(d["err_l2"]), bound_eq3=float(d["bound_eq3"]),
-            sigma_min_proj=float(d["sigma_min_proj"]),
+            err_l2=err, bound_eq3=float(d["bound_eq3"]),
+            sigma_min_proj=float(d["sigma_min_proj"]), failed=err == math.inf,
         ))
     return records
 

@@ -7,17 +7,24 @@ matrices G_T from 1.  Exact computation enumerates supports (exponential in
 s, capped); the Monte Carlo variant maximizes over sampled supports and
 therefore never exceeds the exact value.
 
-Both scans run one kernel that solves only the supports that can set the
-maximum.  By Gershgorin's theorem, and because G_T is positive
+Both scans run one solve step that solves only the supports that can set
+the maximum.  By Gershgorin's theorem, and because G_T is positive
 semidefinite, a support's deviation is at most
 max(max_i R_i - 1, 1 - max(min_i (2 G_ii - R_i), 0)), with R_i the absolute
-row sums of G_T.  The kernel solves supports with eigvalsh in descending
+row sums of G_T.  The step solves supports with eigvalsh in descending
 order of that bound and stops once the next bound plus a rounding margin
 is below the running maximum.  The margin covers the backward error of the
-eigensolver and of the row sums, so no skipped support could have raised
-the computed maximum: the value is bit for bit that of a scan that solves
-every support.  supports_checked counts the supports covered, solved or
-skipped.
+eigensolver and of the row sums, in any summation order, so no skipped
+support could have raised the computed maximum: the value is bit for bit
+that of a scan that solves every support.  supports_checked counts the
+supports covered, solved or skipped.
+
+Only the producer of the bounds differs.  The Monte Carlo scan sums each
+sampled support's pairs.  The exact scan visits supports in colex order,
+grouped by their largest index L, so each is an (s - 1)-prefix drawn from
+range(L) followed by L; it forms each prefix's row sums once and shares
+them across every L that extends it, and generates prefixes in bounded
+chunks (see _colex_chunks).
 
 Normalization is always the caller's job: nothing here rescales inputs,
 except for projected_matrix whose 1/sqrt(ell) factor is part of its
@@ -28,7 +35,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import chain, combinations, islice
+from functools import partial
+from itertools import combinations
 
 import numpy as np
 
@@ -38,7 +46,8 @@ from .measurement import Ensemble, sample_matrix
 from .rng import RngStream
 
 ENUMERATION_CAP = 10**6
-# Supports per block of a scan, and per eigvalsh call within a block.
+# Supports per Monte Carlo block and prefixes per exact chunk; supports per
+# eigvalsh call.
 _BLOCK = 16_384
 _CHUNK = 256
 # The pruning margin is _MARGIN * s^2 * u * (max_i R_i + 1).  eigvalsh is
@@ -46,7 +55,8 @@ _CHUNK = 256
 # ||E||_2 <= p(s) u ||G_T||_2, p a low-degree polynomial (O(s^2) in the
 # worst-case analysis of the Householder reduction), so by Weyl's theorem
 # each computed eigenvalue is within p(s) u max_i R_i of the exact one.  The
-# row sums and the subtractions of 1 add at most (s + 2) u (max_i R_i + 1).
+# row sums, in any summation order, and the subtractions of 1 add at most
+# (s + 2) u (max_i R_i + 1).
 _MARGIN = 8.0
 _EPS = float(np.finfo(np.float64).eps)
 
@@ -59,41 +69,136 @@ class RipEstimate:
     supports_checked: int
 
 
-def _max_deviation(gram: np.ndarray, supports: np.ndarray, worst: float) -> float:
-    """max(worst, the worst eigenvalue deviation from 1 over the support rows).
+def _bound(top: np.ndarray, low: np.ndarray, s: int) -> np.ndarray:
+    """Gershgorin bound on the deviation plus the pruning margin, from each
+    support's largest absolute row sum top = max_i R_i and low =
+    min_i (2 G_ii - R_i)."""
+    return (np.maximum(top - 1.0, 1.0 - np.maximum(low, 0.0))
+            + _MARGIN * s * s * _EPS * (top + 1.0))
 
-    Solves only the supports whose Gershgorin bound plus margin is not
-    below the running maximum; see the module docstring.
+
+def _deviation(gram: np.ndarray, supports: np.ndarray, worst: float) -> float:
+    """max(worst, the largest eigenvalue deviation from 1 over the support rows)."""
+    n = gram.shape[0]
+    w = np.linalg.eigvalsh(gram.ravel().take(supports[:, :, None] * n + supports[:, None, :]))
+    return max(worst, float(np.max(np.maximum(w[:, -1] - 1.0, 1.0 - w[:, 0]))))
+
+
+def _solve(gram: np.ndarray, bound: np.ndarray, supports, worst: float) -> float:
+    """max(worst, the worst eigenvalue deviation from 1 over a block).
+
+    supports(idx) returns the block's supports idx as rows of ascending
+    indices.  Supports are solved with eigvalsh _CHUNK at a time in
+    descending order of bound, until the next bound is below the running
+    maximum; see the module docstring.
     """
-    s = supports.shape[1]
-    diag = np.diagonal(gram)[supports]
-    absg = np.abs(gram)
-    rowsum = np.abs(diag)
-    for a, b in combinations(range(s), 2):
-        pair = absg[supports[:, a], supports[:, b]]
-        rowsum[:, a] += pair
-        rowsum[:, b] += pair
-    top = np.max(rowsum, axis=1)
-    floor = np.maximum(np.min(2.0 * diag - rowsum, axis=1), 0.0)
-    bound = np.maximum(top - 1.0, 1.0 - floor) + _MARGIN * s * s * _EPS * (top + 1.0)
-    order = np.flatnonzero(bound >= worst)
-    order = order[np.argsort(-bound[order])]
-    for lo in range(0, order.size, _CHUNK):
-        chunk = order[lo:lo + _CHUNK]
+    live = np.flatnonzero(bound >= worst)
+    if live.size > _CHUNK:
+        # The _CHUNK largest bounds go first, unsorted: the maximum they
+        # reach usually rules out the rest before they need a sort.
+        live = live[np.argpartition(-bound[live], _CHUNK)]
+        worst = _deviation(gram, supports(live[:_CHUNK]), worst)
+        live = live[_CHUNK:]
+        live = live[bound[live] >= worst]
+    live = live[np.argsort(-bound[live])]
+    for lo in range(0, live.size, _CHUNK):
+        chunk = live[lo:lo + _CHUNK]
         if bound[chunk[0]] < worst:
             break
-        t = supports[chunk]
-        w = np.linalg.eigvalsh(gram[t[:, :, None], t[:, None, :]])
-        worst = max(worst, float(np.max(np.maximum(w[:, -1] - 1.0, 1.0 - w[:, 0]))))
+        worst = _deviation(gram, supports(chunk), worst)
+    return worst
+
+
+def _colex_chunks(n: int, s: int):
+    """Every s-subset of range(n) once, in chunks that share (s-1)-prefixes.
+
+    Yields (prefixes, extensions).  The columns of the (s - 1) x c array
+    prefixes are at most _BLOCK consecutive (s - 1)-subsets of range(n - 1)
+    in colex order, each ascending; the next chunk overwrites the array.
+    extensions lists (L, count) with L descending: the chunk's supports with
+    largest index L are its first count prefixes followed by L.  This works
+    because the (s - 1)-subsets of range(L) are exactly the first
+    comb(L, s - 1) in colex order.  Prefixes are unranked in the
+    combinatorial number system: the colex rank of c_1 < ... < c_k is the
+    sum of comb(c_i, i).
+    """
+    k = s - 1
+    total = math.comb(n - 1, k)
+    # table[i - 1][c] = comb(c, i) for c < n - 1 (a running sum of row
+    # i - 1), capped at total: no rank reaches it, so the searches agree.
+    table = []
+    col = np.ones(n - 1, dtype=np.int64)
+    for _ in range(k):
+        col = np.minimum(np.concatenate(([0], np.cumsum(col[:-1]))), total)
+        table.append(col)
+    buffer = np.empty((k, min(total, _BLOCK)), dtype=np.intp)
+    for lo in range(0, total, _BLOCK):
+        hi = min(total, lo + _BLOCK)
+        rank = np.arange(lo, hi)
+        prefixes = buffer[:, :hi - lo]
+        for i in range(k, 0, -1):
+            prefixes[i - 1] = np.searchsorted(table[i - 1], rank, side="right") - 1
+            rank -= table[i - 1][prefixes[i - 1]]
+        extensions = []
+        for last in range(n - 1, k - 1, -1):
+            count = min(hi, math.comb(last, k)) - lo
+            if count <= 0:
+                break
+            extensions.append((last, count))
+        yield prefixes, extensions
+
+
+def _extend(prefixes: np.ndarray, last: int, idx: np.ndarray) -> np.ndarray:
+    """Supports idx of a colex block: prefix columns idx followed by last."""
+    t = np.empty((idx.size, prefixes.shape[0] + 1), dtype=np.intp)
+    t[:, :-1] = prefixes[:, idx].T
+    t[:, -1] = last
+    return t
+
+
+def _scan_chunk(gram: np.ndarray, prefixes: np.ndarray, extensions, worst: float) -> float:
+    """max(worst, the worst deviation over one chunk of _colex_chunks).
+
+    Each prefix's diagonal entries and row sums over its own pairs are
+    formed once; a support then adds the column of its largest index L,
+    by s - 1 one-dimensional takes from row L of G (its lower triangle,
+    which eigvalsh reads).
+    """
+    k = prefixes.shape[0]
+    diag = np.diagonal(gram)
+    # Per prefix column: R_i over the prefix's own pairs, and 2 G_ii - R_i.
+    lows = diag[prefixes]
+    rows = np.abs(lows)
+    for p, q in combinations(range(k), 2):
+        pair = np.abs(gram[prefixes[q], prefixes[p]])
+        rows[p] += pair
+        rows[q] += pair
+    lows *= 2.0
+    lows -= rows
+    col, tmp = np.empty(prefixes.shape[1]), np.empty(prefixes.shape[1])
+    for last, count in extensions:
+        row = np.abs(gram[last])
+        rlast = np.full(count, abs(diag[last]))
+        top = np.zeros(count)
+        low = np.full(count, np.inf)
+        for i in range(k):
+            v = row.take(prefixes[i, :count], out=col[:count])
+            rlast += v
+            np.maximum(top, np.add(rows[i, :count], v, out=tmp[:count]), out=top)
+            np.minimum(low, np.subtract(lows[i, :count], v, out=tmp[:count]), out=low)
+        np.maximum(top, rlast, out=top)
+        np.minimum(low, 2.0 * diag[last] - rlast, out=low)
+        worst = _solve(gram, _bound(top, low, k + 1), partial(_extend, prefixes, last), worst)
     return worst
 
 
 def ric_exact(a, s: int) -> RipEstimate:
     """Exact restricted isometry constant by support enumeration.
 
-    Supports are visited in lexicographic order in blocks.  Raises when
-    the support count exceeds ENUMERATION_CAP; use ric_monte_carlo instead
-    for such instances.
+    Supports are visited in the chunks of _colex_chunks, largest index
+    descending within a chunk, with the running maximum carried between
+    them.  Raises when the support count exceeds ENUMERATION_CAP; use
+    ric_monte_carlo instead for such instances.
     """
     a = as_matrix(a)
     n = a.shape[1]
@@ -106,14 +211,23 @@ def ric_exact(a, s: int) -> RipEstimate:
             f"{ENUMERATION_CAP}; use ric_monte_carlo"
         )
     gram = a.T @ a
-    it = combinations(range(n), s)
     worst = 0.0
-    for done in range(0, total, _BLOCK):
-        count = min(_BLOCK, total - done)
-        block = np.fromiter(chain.from_iterable(islice(it, count)), dtype=np.intp,
-                            count=count * s)
-        worst = _max_deviation(gram, block.reshape(count, s), worst)
+    for prefixes, extensions in _colex_chunks(n, s):
+        worst = _scan_chunk(gram, prefixes, extensions, worst)
     return RipEstimate(s=s, value=worst, mode="exact", supports_checked=total)
+
+
+def _sampled_bound(gram: np.ndarray, supports: np.ndarray) -> np.ndarray:
+    """_bound of each row of supports, from its pairs."""
+    s = supports.shape[1]
+    diag = np.diagonal(gram)[supports]
+    absg = np.abs(gram)
+    rowsum = np.abs(diag)
+    for a, b in combinations(range(s), 2):
+        pair = absg[supports[:, a], supports[:, b]]
+        rowsum[:, a] += pair
+        rowsum[:, b] += pair
+    return _bound(np.max(rowsum, axis=1), np.min(2.0 * diag - rowsum, axis=1), s)
 
 
 def ric_monte_carlo(a, s: int, trials: int, rng: RngStream) -> RipEstimate:
@@ -128,7 +242,7 @@ def ric_monte_carlo(a, s: int, trials: int, rng: RngStream) -> RipEstimate:
     worst = 0.0
     for done in range(0, trials, _BLOCK):
         block = rng.choose_index_rows(min(_BLOCK, trials - done), n, s)
-        worst = _max_deviation(gram, block, worst)
+        worst = _solve(gram, _sampled_bound(gram, block), block.__getitem__, worst)
     return RipEstimate(s=s, value=worst, mode="monte-carlo", supports_checked=trials)
 
 

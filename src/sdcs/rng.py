@@ -181,13 +181,20 @@ class RngStream:
         bits = (self.uint64s(n) >> np.uint64(63)).astype(np.float64)
         return 1.0 - 2.0 * bits
 
+    def _draw(self) -> int:
+        """Next raw 64-bit output as a Python int (one uint64s draw)."""
+        return _mix64(self._advance(1) + _GAMMA)
+
     def randbelow(self, bound: int) -> int:
         """Uniform integer in [0, bound), exact via rejection sampling."""
         if bound <= 0:
             raise ValueError("bound must be positive")
-        cap = int(_accept_max(np.uint64(bound)))
+        if bound > _MASK:
+            raise OverflowError("bound must be below 2^64")
+        # _accept_max on Python ints
+        cap = _MASK - (_MASK % bound + 1) % bound
         while True:
-            x = int(self.uint64s(1)[0])
+            x = self._draw()
             if x <= cap:
                 return x % bound
 

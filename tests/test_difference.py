@@ -51,6 +51,25 @@ def test_inverse_power_builds_without_index_arrays():
     assert peak <= 1.5 * inv.nbytes
 
 
+def test_difference_power_holds_one_dense_power_at_a_time():
+    # The kept power is released before the next is built, so building a
+    # third (m, r) never has two others alive beside it.
+    difference._power_slot.clear()
+    tracemalloc.start()
+    try:
+        difference_power(500, 1)
+        difference_power(500, 2)
+        held = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        inv = difference_power(500, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert held <= 1.5 * inv.nbytes
+    assert peak <= 1.5 * inv.nbytes
+    assert difference_power(500, 3) is inv
+
+
 @pytest.mark.parametrize("m", [1, 8, 33, 128])
 @pytest.mark.parametrize("r", [1, 2, 3])
 def test_defining_identity(m, r):
@@ -171,7 +190,7 @@ def test_caches_stay_bounded():
     for m in range(40, 50):
         difference_power(m, 1)
         projected_basis(m, 1, 3)
-    assert difference_power.cache_info().currsize == difference_power.cache_info().maxsize
+    assert list(difference._power_slot) == [(49, 1)]
     basis = difference._top_right_singular_rows.cache_info()
     assert basis.currsize == basis.maxsize
     assert basis.maxsize < 10

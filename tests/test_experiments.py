@@ -96,7 +96,7 @@ def test_any_subset_and_order_of_trials_reproduces_the_sweep_rows(plan):
     want = sweep_lines()
     for (r, m, trial), cold in plan:
         if cold:
-            difference.difference_power.cache_clear()
+            difference._power_slot.clear()
             difference._top_right_singular_rows.cache_clear()
         cfg = ORDER_CONFIGS[r]
         seed = trial_seed(cfg.seed, m, trial)
@@ -134,6 +134,11 @@ def test_csv_roundtrip(small_records):
         for col in SWEEP_CSV_COLUMNS:
             x, y = getattr(a, col), getattr(b, col)
             assert x == y or (math.isnan(x) and math.isnan(y))
+        # failed comes back from the row; what the CSV does not carry is unknown
+        assert a.failed == b.failed
+        assert a.bpdn_converged is None and a.support_tie_flag is None
+        assert math.isnan(a.bpdn_l1_slack) and math.isnan(a.bpdn_violation)
+    assert back[-1].failed and not any(rec.failed for rec in back[:-1])
     with pytest.raises(ValueError, match="header"):
         read_sweep_csv("nope\n1,2\n")
 

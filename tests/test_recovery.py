@@ -466,7 +466,7 @@ class TestFullPipeline:
         # no SVD of an m x m matrix runs even when nothing is cached
         m, s, r = 200, 5, 1
         assert 2 * projection_dim(m, s, 0.7) + 8 < m
-        difference_power.cache_clear()
+        difference._power_slot.clear()
         difference._top_right_singular_rows.cache_clear()
         shapes = []
         svd = np.linalg.svd

@@ -1,4 +1,6 @@
 import math
+import tracemalloc
+from itertools import combinations
 from unittest import mock
 
 import numpy as np
@@ -119,13 +121,41 @@ def scan_inputs(draw):
     return a, s
 
 
+def columns_with_gram(diag, entries):
+    """Columns whose Gram matrix has the given diagonal and the given
+    symmetric off-diagonal entries {(i, j): value}, zero elsewhere."""
+    g = np.diag(np.asarray(diag, dtype=float))
+    for (i, j), value in entries.items():
+        g[i, j] = g[j, i] = value
+    return np.linalg.cholesky(g).T
+
+
+# A star (a center column and two spokes) that the exact scan meets after
+# a correlated pair whose deviation lies between the star's deviation and a
+# bound that omits one term of the star's row sums: the largest index's
+# row; a prefix row's largest-index term, on the upper and on the lower
+# side; and a prefix pair's term in the later row of the pair.
+STARS_AFTER_DECOYS = [
+    columns_with_gram([1, 1, 1, 1, 1], {(0, 1): 0.7, (2, 4): 0.6, (3, 4): 0.6}),
+    columns_with_gram([1.5, 1.5, 1.5, 1, 1], {(1, 2): 0.73, (0, 3): 0.7, (0, 4): 0.7}),
+    columns_with_gram([0.8, 1, 1, 1, 1], {(1, 2): 0.58, (0, 3): 0.35, (0, 4): 0.35}),
+    columns_with_gram([1, 1.5, 1.5, 1.5, 1], {(1, 2): 0.73, (0, 3): 0.7, (3, 4): 0.7}),
+]
+
+
 @settings(max_examples=120, deadline=None, derandomize=True)
 @given(scan_inputs(), st.integers(1, 40), st.integers(0, 2**32),
-       st.sampled_from([(16_384, 256), (5, 2), (3, 1)]))
+       st.sampled_from([(16_384, 256), (5, 2), (3, 1), (1, 1)]))
 @example((np.eye(3), 3), 1, 0, (16_384, 256))
 @example((np.diag([1.5, 0.5, 1.5, 0.5]), 2), 30, 1, (5, 2))
+@example((np.diag([1.5, 0.5, 1.5, 0.5, 1.25, 0.75]), 3), 30, 2, (1, 1))
+@example((STARS_AFTER_DECOYS[0], 3), 1, 3, (1, 1))
+@example((STARS_AFTER_DECOYS[1], 3), 1, 3, (1, 1))
+@example((STARS_AFTER_DECOYS[2], 3), 1, 3, (1, 1))
+@example((STARS_AFTER_DECOYS[3], 3), 1, 3, (1, 1))
 def test_pruned_scans_equal_every_support_scan(inputs, trials, seed, sizes):
-    # Small blocks and chunks send one scan through many of both.
+    # Small sizes send one scan through many eigvalsh calls, and through
+    # many prefix chunks (exact) or support blocks (Monte Carlo).
     a, s = inputs
     with mock.patch.multiple(rip, _BLOCK=sizes[0], _CHUNK=sizes[1]):
         exact = ric_exact(a, s)
@@ -155,6 +185,43 @@ def test_exact_scan_solves_few_supports_on_rip_diag_instance(monkeypatch):
     est = ric_exact(a, 4)
     assert est.supports_checked == 194_580
     assert sum(solved) < 0.1 * 194_580
+    assert est.value == ric_exact_reference(a, 4)
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+@pytest.mark.parametrize("block", [16_384, 7, 1])
+def test_colex_chunks_visit_every_support_once(n, block):
+    for s in range(1, n + 1):
+        seen = []
+        with mock.patch.object(rip, "_BLOCK", block):
+            for prefixes, extensions in rip._colex_chunks(n, s):
+                assert prefixes.shape[0] == s - 1 and prefixes.shape[1] <= block
+                assert [last for last, _ in extensions] == sorted(
+                    (last for last, _ in extensions), reverse=True)
+                for last, count in extensions:
+                    seen += [(*col, last) for col in prefixes[:, :count].T.tolist()]
+        assert sorted(seen) == list(combinations(range(n), s))
+
+
+@pytest.mark.parametrize(("n", "s"), [(70, 4), (20, 10)])
+def test_exact_scan_memory_is_bounded_by_the_chunk(n, s):
+    # Memory is the Gram matrix, a chunk of _BLOCK prefixes (indices, row
+    # sums and 2 G_ii - R_i, s - 1 of each per prefix) and block-sized
+    # vectors, whatever comb(n - 1, s - 1) is: with all prefixes in one
+    # chunk the peak is 8.0 MiB at (70, 4) and 26.8 MiB at (20, 10).  The
+    # last s columns correlate pairwise by 0.1, so delta_s = (s - 1) 0.1 and
+    # the Gershgorin bound is exact on every support: few reach eigvalsh.
+    a = columns_with_gram(np.ones(n), {pair: 0.1 for pair in combinations(range(n - s, n), 2)})
+    budget = 8 * (n * n + 3 * (s - 1) * rip._BLOCK) + 2 * 2**20
+    tracemalloc.start()
+    try:
+        est = ric_exact(a, s)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert est.value == pytest.approx((s - 1) * 0.1, rel=1e-12)
+    assert math.comb(n - 1, s - 1) > rip._BLOCK
+    assert peak <= budget
 
 
 def test_projected_matrix_shape_and_scaling():

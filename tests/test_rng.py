@@ -7,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import sdcs.rng as rng_module
-from oracles import choose_indices_reference
+from oracles import choose_indices_reference, randbelow_reference
 from sdcs.rng import _NORMAL_BLOCK, RngStream, _encode_label, derive_seed
 
 MASK = (1 << 64) - 1
@@ -94,6 +94,19 @@ def test_randbelow_uniform():
 def test_randbelow_validates():
     with pytest.raises(ValueError):
         RngStream(0).randbelow(0)
+    with pytest.raises(OverflowError):
+        RngStream(0).randbelow(1 << 64)
+
+
+@pytest.mark.parametrize("bound", [1, 2, 3, 1000, 1 << 32, (1 << 63) + 1, 3 << 62, (1 << 64) - 1])
+def test_randbelow_matches_reference(bound):
+    # (1 << 63) + 1 and 3 << 62 reject about half and a quarter of the draws
+    a, b = RngStream(bound), RngStream(bound)
+    a.uint64s(3)
+    b.uint64s(3)
+    got = [a.randbelow(bound) for _ in range(200)]
+    assert got == [randbelow_reference(b, bound) for _ in range(200)]
+    assert a.counter == b.counter
 
 
 def test_choose_indices_basic():
@@ -132,6 +145,7 @@ def test_choose_indices_rejected_draws(monkeypatch):
         return out
 
     monkeypatch.setattr(RngStream, "uint64s", scripted)
+    monkeypatch.setattr(RngStream, "_draw", lambda self: int(self.uint64s(1)[0]))
     a, b = RngStream(0), RngStream(0)
     got = a.choose_indices(5, 3)
     assert np.array_equal(got, choose_indices_reference(b, 5, 3))
@@ -152,6 +166,9 @@ class ScriptedStream(RngStream):
         assert out.size == n, "script exhausted"
         self._counter += n
         return out
+
+    def _draw(self):
+        return int(self.uint64s(1)[0])
 
 
 @st.composite
