@@ -340,7 +340,6 @@ def msq_trial(
     rng: RngStream,
     *,
     k_floor: float = 1.0,
-    magnitude_cap_ratio: float = 10.0,
 ) -> MsqTrialResult:
     """Round-each-entry baseline on the identical instance.
 
@@ -350,8 +349,7 @@ def msq_trial(
     squares on the recovered support.  The r argument only fixes the
     amplitude floor so instances match the feedback-quantizer runs.
     """
-    floor = k_floor * (2.0 ** (r - 0.5)) * delta
-    signal, phi = draw_instance(ensemble, n, s, m, floor, magnitude_cap_ratio * floor, rng)
+    signal, phi = draw_instance(ensemble, n, s, m, r, delta, rng, k_floor)
     x = signal.to_dense()
     q = msq_quantize(phi @ x, delta)
     eps = delta * math.sqrt(m) / 2.0

@@ -3,21 +3,24 @@
 All entries are mean zero and unit variance across ensembles so that
 results are comparable when the number of measurements grows; matrices
 are deliberately left unnormalized (no 1/sqrt(m) factor).
+
+The layer keeps no state and no cache: every draw is a function of its
+arguments and the stream alone.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 
 from .rng import RngStream
 
 ENSEMBLE_KINDS = ("gaussian", "rademacher", "column-model")
-# Correlation roots kept, one dense m x m root per key; a sweep visits one m
-# at a time, so memory stays bounded for any m-grid.
-_ROOT_CACHE_SIZE = 2
+# Off-diagonal of the column-model covariance; below 1/2, so it is positive
+# definite for every m.
+_COLUMN_CORR = 0.3
 
 
 @dataclass(frozen=True)
@@ -27,20 +30,16 @@ class Ensemble:
     gaussian      independent standard normal entries
     rademacher    independent +/-1 entries
     column-model  independent columns with unit-variance but correlated
-                  entries: column = S^(1/2) g with g i.i.d. Rademacher
-                  and S a unit-diagonal tridiagonal correlation matrix
-                  (off-diagonal ``column_corr``)
+                  entries: column = S^(1/2) g with g i.i.d. Rademacher,
+                  S the unit-diagonal tridiagonal covariance with
+                  off-diagonal 0.3 and S^(1/2) its symmetric (dense) root
     """
 
     kind: str
-    column_corr: float = 0.3
 
     def __post_init__(self):
         if self.kind not in ENSEMBLE_KINDS:
             raise ValueError(f"unknown ensemble kind {self.kind!r}; expected one of {ENSEMBLE_KINDS}")
-        if not 0.0 <= self.column_corr < 0.5:
-            # Tridiagonal correlation is positive definite iff |corr| < 0.5.
-            raise ValueError("column_corr must lie in [0, 0.5)")
 
 
 @dataclass(frozen=True)
@@ -70,16 +69,18 @@ class SparseSignal:
         return x
 
 
-@lru_cache(maxsize=_ROOT_CACHE_SIZE)
-def _correlation_root(m: int, corr: float) -> np.ndarray:
-    """Symmetric PSD square root of the tridiagonal unit-diagonal correlation."""
-    sig = np.eye(m) + corr * (np.eye(m, k=1) + np.eye(m, k=-1))
-    w, q = np.linalg.eigh(sig)
-    if np.min(w) <= 0:
-        raise ValueError("correlation matrix is not positive definite")
-    root = (q * np.sqrt(w)) @ q.T
-    root.setflags(write=False)
-    return root
+def _dst1(x: np.ndarray) -> np.ndarray:
+    """Orthonormal DST-I down the columns of x; it is its own inverse.
+
+    Entry (j, k) of the transform is sqrt(2/(m+1)) sin(jk pi/(m+1)),
+    j, k = 1..m.  The FFT of the odd extension [0, x, 0, -reversed x] of
+    length 2m + 2 has imaginary part -2 (DST-I x) at indices 1..m.
+    """
+    m = x.shape[0]
+    ext = np.zeros((2 * m + 2,) + x.shape[1:])
+    ext[1:m + 1] = x
+    ext[m + 2:] = -x[::-1]
+    return np.fft.rfft(ext, axis=0)[1:m + 1].imag * (-1.0 / math.sqrt(2.0 * (m + 1)))
 
 
 def sample_matrix(ensemble: Ensemble, m: int, n: int, rng: RngStream) -> np.ndarray:
@@ -90,9 +91,13 @@ def sample_matrix(ensemble: Ensemble, m: int, n: int, rng: RngStream) -> np.ndar
         return rng.normals(m * n).reshape(m, n)
     if ensemble.kind == "rademacher":
         return rng.rademacher(m * n).reshape(m, n)
-    # column-model: correlate entries within each column, columns independent
+    # column-model: correlate entries within each column, columns independent.
+    # S = I + c T is tridiagonal Toeplitz, so its eigenvectors are the DST-I
+    # vectors, with eigenvalues 1 + 2c cos(j pi/(m+1)) >= 1 - 2c > 0 (Strang,
+    # SIAM Review 1999), and S^(1/2) g = V (sqrt(lam) * V g).
     g = rng.rademacher(m * n).reshape(m, n)
-    return _correlation_root(m, ensemble.column_corr) @ g
+    lam = 1.0 + 2.0 * _COLUMN_CORR * np.cos(np.arange(1, m + 1) * (math.pi / (m + 1)))
+    return _dst1(np.sqrt(lam)[:, None] * _dst1(g))
 
 
 def sample_sparse_signal(

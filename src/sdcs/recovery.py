@@ -280,7 +280,6 @@ class RecoveryReport:
     sigma_min_proj: float
     support_correct: bool
     ell: int
-    rip_hypothesis_ok: bool
     support_tie_flag: bool
     bpdn_converged: bool
     bpdn_iterations: int
@@ -293,16 +292,22 @@ def draw_instance(
     n: int,
     s: int,
     m: int,
-    floor: float,
-    magnitude_cap: float,
+    r: int,
+    delta: float,
     rng: RngStream,
+    k_floor: float,
 ) -> tuple[SparseSignal, np.ndarray]:
     """Sample the (signal, measurement matrix) pair for one trial.
 
+    The signal's amplitude floor is k_floor * 2^(r - 1/2) * delta, the
+    smallest magnitude for which support recovery is guaranteed in the
+    high-probability regime (k_floor is exposed because the sharp constant
+    is not known), and its magnitudes are capped at ten times the floor.
     Uses fixed substream labels so that different quantization branches
     can replay the identical instance from the same parent stream.
     """
-    signal = sample_sparse_signal(n, s, floor, magnitude_cap, rng.substream("signal"))
+    floor = k_floor * (2.0 ** (r - 0.5)) * delta
+    signal = sample_sparse_signal(n, s, floor, 10.0 * floor, rng.substream("signal"))
     phi = sample_matrix(ensemble, m, n, rng.substream("matrix"))
     return signal, phi
 
@@ -318,16 +323,13 @@ def full_pipeline(
     rng: RngStream,
     *,
     k_floor: float = 1.0,
-    magnitude_cap_ratio: float = 10.0,
     epsilon: float | None = None,
 ) -> RecoveryReport:
     """Measure, quantize, recover, and evaluate one random instance.
 
-    The signal's amplitude floor is k_floor * 2^(r - 1/2) * delta, the
-    smallest magnitude for which support recovery is guaranteed in the
-    high-probability regime (k_floor defaults to 1 and is exposed because
-    the sharp constant is not known).  The denoising radius defaults to
-    the worst-case quantization noise 2^(r-1) * delta * sqrt(m).
+    The instance comes from draw_instance (amplitude floor k_floor *
+    2^(r - 1/2) * delta).  The denoising radius defaults to the worst-case
+    quantization noise 2^(r-1) * delta * sqrt(m).
 
     Reports reconstruction error, the deterministic error bound for the
     recovered support, and the smallest singular value of the scaled
@@ -337,8 +339,7 @@ def full_pipeline(
     if m < s:
         raise ValueError("need m >= s")
     cfg = QuantizerConfig(r=r, delta=delta)
-    floor = k_floor * (2.0 ** (r - 0.5)) * delta
-    signal, phi = draw_instance(ensemble, n, s, m, floor, magnitude_cap_ratio * floor, rng)
+    signal, phi = draw_instance(ensemble, n, s, m, r, delta, rng, k_floor)
     x = signal.to_dense()
 
     y = phi @ x
@@ -371,7 +372,6 @@ def full_pipeline(
         sigma_min_proj=smin_proj,
         support_correct=bool(np.array_equal(t_hat, signal.support)),
         ell=ell,
-        rip_hypothesis_ok=bool(smin_proj >= math.sqrt(1.0 - 1.0 / math.sqrt(2.0))),
         support_tie_flag=tie,
         bpdn_converged=result.converged,
         bpdn_iterations=result.iterations,

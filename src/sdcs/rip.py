@@ -257,19 +257,16 @@ def projected_matrix(phi, r: int, ell: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SmallBallSummary:
-    """Empirical distribution of squared projected column norms."""
+    """Empirical distribution of squared projected column norms, with its
+    quantiles at the levels 0.01, 0.05, 0.10, 0.25 and 0.50."""
 
     ell: int
     trials: int
     mean: float
-    quantile_levels: tuple[float, ...]
     quantiles: np.ndarray
 
-    def as_pairs(self) -> list[tuple[float, float]]:
-        return [(lv, float(qv)) for lv, qv in zip(self.quantile_levels, self.quantiles)]
 
-
-_DEFAULT_LEVELS = (0.01, 0.05, 0.10, 0.25, 0.50)
+_LEVELS = (0.01, 0.05, 0.10, 0.25, 0.50)
 
 
 def small_ball_probe(
@@ -279,7 +276,6 @@ def small_ball_probe(
     ell: int,
     trials: int,
     rng: RngStream,
-    quantile_levels: tuple[float, ...] = _DEFAULT_LEVELS,
 ) -> SmallBallSummary:
     """Sample ||projection @ column||^2 over independent ensemble columns.
 
@@ -288,10 +284,6 @@ def small_ball_probe(
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    if any(not 0.0 <= lv <= 1.0 for lv in quantile_levels):
-        raise ValueError("quantile levels must lie in [0, 1]")
-    if sorted(quantile_levels) != list(quantile_levels):
-        raise ValueError("quantile levels must be non-decreasing")
     w = projected_basis(m, r, ell)
     cols = sample_matrix(ensemble, m, trials, rng)
     sq = np.sum((w @ cols) ** 2, axis=0)
@@ -299,6 +291,5 @@ def small_ball_probe(
         ell=ell,
         trials=trials,
         mean=float(np.mean(sq)),
-        quantile_levels=tuple(quantile_levels),
-        quantiles=np.quantile(sq, quantile_levels),
+        quantiles=np.quantile(sq, _LEVELS),
     )

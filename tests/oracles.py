@@ -1,8 +1,15 @@
-"""Reference operators that only the tests use."""
+"""Reference operators and rounding constants that only the tests use."""
 
 from itertools import combinations
 
 import numpy as np
+
+U = float(np.finfo(np.float64).eps) / 2  # unit roundoff
+
+
+def gamma(k: int) -> float:
+    """Higham's gamma_k = k u / (1 - k u), the relative error bound of k roundings."""
+    return k * U / (1.0 - k * U)
 
 
 def difference_matrix(m: int) -> np.ndarray:
@@ -10,6 +17,14 @@ def difference_matrix(m: int) -> np.ndarray:
     if m < 1:
         raise ValueError("m must be >= 1")
     return np.eye(m) - np.eye(m, k=-1)
+
+
+def correlation_root(m: int, corr: float) -> np.ndarray:
+    """Symmetric root of the unit-diagonal tridiagonal covariance with
+    off-diagonal corr, dense, from its eigendecomposition."""
+    sig = np.eye(m) + corr * (np.eye(m, k=1) + np.eye(m, k=-1))
+    w, q = np.linalg.eigh(sig)
+    return (q * np.sqrt(w)) @ q.T
 
 
 def randbelow_reference(rng, bound):

@@ -222,9 +222,8 @@ def test_median_error_decreases_with_m():
 def test_msq_uses_identical_instance():
     # same stream, same substream labels: signal and matrix must coincide
     n, s, m, r, delta = 48, 3, 40, 2, 0.05
-    floor = (2.0 ** (r - 0.5)) * delta
-    sig_a, phi_a = draw_instance(Ensemble("gaussian"), n, s, m, floor, 10 * floor, RngStream(9))
-    sig_b, phi_b = draw_instance(Ensemble("gaussian"), n, s, m, floor, 10 * floor, RngStream(9))
+    sig_a, phi_a = draw_instance(Ensemble("gaussian"), n, s, m, r, delta, RngStream(9), 1.0)
+    sig_b, phi_b = draw_instance(Ensemble("gaussian"), n, s, m, r, delta, RngStream(9), 1.0)
     assert np.array_equal(sig_a.support, sig_b.support)
     assert np.array_equal(sig_a.values, sig_b.values)
     assert np.array_equal(phi_a, phi_b)

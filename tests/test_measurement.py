@@ -1,8 +1,13 @@
+import gc
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from oracles import U, correlation_root, gamma
 from sdcs.difference import projected_basis
-from sdcs.measurement import Ensemble, _correlation_root, sample_matrix, sample_sparse_signal
+from sdcs.measurement import Ensemble, sample_matrix, sample_sparse_signal
 from sdcs.rng import RngStream
 
 
@@ -11,8 +16,6 @@ def test_ensemble_validation():
         Ensemble(kind)
     with pytest.raises(ValueError, match="unknown ensemble"):
         Ensemble("bernoulli")
-    with pytest.raises(ValueError, match="column_corr"):
-        Ensemble("column-model", column_corr=0.6)
 
 
 def test_rademacher_entries():
@@ -44,14 +47,75 @@ def test_column_model_moments_and_correlation():
     assert abs(two_apart) < 0.03
 
 
-def test_correlation_root_cache_stays_bounded():
+def fft_error(n: int) -> float:
+    """Normwise relative error bound of numpy's FFT of length n.
+
+    pocketfft runs either passes of the prime factors p of n or, for a large
+    prime factor, Bluestein's algorithm; the bound is the larger of the two.
+    A pass of radix p forms each output as p products with twiddles that
+    are correct to u, so its error is gamma(p + 4) times the l1 norm of the
+    inputs, sqrt(p) gamma(p + 4) relative in the 2-norm (Higham, Accuracy
+    and Stability of Numerical Algorithms, Lemma 3.5 and Section 24.1).
+    Bluestein takes three transforms of a length below 4n whose factors
+    are at most 11, where the pass bound is below 15 u per bit of length,
+    and three chirp products.
+    """
+    direct, k, p = 0.0, n, 2
+    while k > 1:
+        while k % p == 0:
+            direct += math.sqrt(p) * gamma(p + 4)
+            k //= p
+        p += 1
+    return max(direct, 45 * U * math.log2(4 * n) + gamma(10))
+
+
+def test_column_model_is_the_symmetric_root_of_its_covariance():
+    """A column-model draw is correlation_root(m, 0.3) @ g, g the same
+    Rademacher draws, to within the rounding of the transform path.
+
+    The draw is z = V (d * V g), V the orthonormal DST-I and d = sqrt(lam),
+    max d = sqrt(1 + 2c).  Each V is one FFT of length N = 2m + 2 of the odd
+    extension (norm sqrt(2) ||x||), scaled by 1/sqrt(N) with two more
+    roundings, so it errs by at most psi ||x||, psi = sqrt(2) fft_error(N) +
+    gamma(3).  Forming d: theta_j = j (pi/(m+1)) errs by gamma(3) pi, cos by
+    2u, then 1 + 0.6 cos by 2u more, so lam errs by at most 10u; as
+    lam >= 0.4, sqrt(lam) errs relatively by 10u/0.8 + u, and the product
+    with V g by one more u: psi_d = 15u.  The three stages compose to
+    ||z_hat - z|| <= max d ((1 + psi)^2 (1 + psi_d) - 1) ||g||, which is
+    of order u log m for lengths with small factors.  The reference adds
+    its own rounding (eigh's backward error, through the root's condition
+    1/(2 sqrt(lam_min)), and two dense products); LAPACK states no
+    constant for it, and it stays inside this bound at these sizes.
+    """
     ens = Ensemble("column-model")
-    first = sample_matrix(ens, 6, 3, RngStream(1))
-    for m in (6, 7, 8, 9, 10):
-        sample_matrix(ens, m, 3, RngStream(m))
-    assert _correlation_root.cache_info().currsize <= 2
-    # m = 6 was evicted; its recomputed root draws the same bits
-    assert sample_matrix(ens, 6, 3, RngStream(1)).tobytes() == first.tobytes()
+    for m in [*range(1, 301), 1000, 2000]:
+        n = 4 if m <= 300 else 2
+        g = RngStream(m).rademacher(m * n).reshape(m, n)
+        ref = correlation_root(m, 0.3) @ g
+        got = sample_matrix(ens, m, n, RngStream(m))
+        psi = math.sqrt(2.0) * fft_error(2 * m + 2) + gamma(3)
+        tol = math.sqrt(1.6) * ((1 + psi) ** 2 * (1 + 15 * U) - 1)
+        err = np.linalg.norm(got - ref, axis=0)
+        assert np.all(err <= tol * np.linalg.norm(g, axis=0)), (m, err, tol)
+
+
+def test_column_model_draw_holds_no_square_array_and_keeps_nothing():
+    # one m x m double array at m = 10^4 is 800 MB; the draw needs O(m n)
+    tracemalloc.start()
+    try:
+        sample_matrix(Ensemble("column-model"), 10_000, 8, RngStream(3))
+        _, peak = tracemalloc.get_traced_memory()
+        # draws at several m in a row leave nothing allocated behind
+        gc.collect()
+        before, _ = tracemalloc.get_traced_memory()
+        for m in (300, 400, 500):
+            sample_matrix(Ensemble("column-model"), m, 3, RngStream(m))
+        gc.collect()
+        after, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
+    assert after - before < 64 * 2**10
 
 
 def test_sample_matrix_validates_dims():

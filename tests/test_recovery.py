@@ -2,18 +2,20 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import sdcs.difference as difference
 import sdcs.recovery as recovery
-from oracles import difference_matrix
+from oracles import difference_matrix, gamma
 from sdcs.difference import difference_power, inverse_difference_power, projected_basis
+from sdcs.experiments import trial_seed
 from sdcs.measurement import Ensemble, sample_matrix, sample_sparse_signal
 from sdcs.quantizer import QuantizerConfig, quantization_noise_bound, sigma_delta_quantize
 from sdcs.recovery import (
     DegenerateDrawError,
     bpdn_solve,
+    draw_instance,
     full_pipeline,
     projection_dim,
     sobolev_reconstruct,
@@ -376,6 +378,92 @@ def test_sobolev_stage_exact_and_within_bound(r, s, m, delta, seed):
     assert np.linalg.norm(x_hat - x) <= bound * (1.0 + 1e-9)
 
 
+@pytest.mark.parametrize("m", [100, 400, 1000])
+@pytest.mark.parametrize("r", [1, 2, 3])
+@settings(derandomize=True, max_examples=6, deadline=None)
+@given(base=st.integers(0, 2**32 - 1), trial=st.integers(0, 19))
+def test_err_l2_is_the_forward_error_within_its_rounding(r, m, base, trial):
+    """On a correct support T, err_l2 equals err* = ||A^+ u|| up to rounding,
+    with A = D^{-r} Phi_T and u the quantizer state.
+
+    Let e = 2^-53 and gamma(k) = k e / (1 - k e).  In exact arithmetic on
+    the stored floats let tau = Phi_T x_T - q - D^r u, the defect of
+    D^r u = y - q.  Then D^{-r} q = A x_T - u - D^{-r} tau, so the exact
+    least-squares solution is x* = A^+ D^{-r} q = x_T - A^+ u - A^+ D^{-r} tau,
+    and the four errors below add up to |err_l2 - err*|.
+
+    e1 = ||A^+|| ||D^{-r}|| ||tau||, the identity defect, with ||D^{-r}||_2 at
+    most its column sum C(m + r - 1, r).  y = Phi x sums s nonzero products
+    (gamma(s)); the quantizer's feedback h_i sums r terms of total weight
+    2^r - 1 on states below delta/2 (gamma(r)), y_i + h_i rounds once, and
+    u_i = fl(y_i + h_i - q_i) is exact (Sterbenz).  So ||tau|| <=
+    gamma(s + 1) || |Phi_T| |x_T| || + gamma(r + 1) 2^(r-1) delta sqrt(m).
+
+    e2, the reconstruction's least-squares forward error (Higham, Accuracy
+    and Stability of Numerical Algorithms, Thm 20.1): if A and b = D^{-r} q
+    are perturbed normwise by at most eta, with kappa eta < 1, the solution
+    moves by at most kappa eta / (1 - kappa eta) (2 ||x*|| + (kappa + 1)
+    ||rho|| / ||A||), rho the residual; here ||rho|| <= ||u|| + ||D^{-r}||
+    ||tau||.  The reconstruction forms A and b by dense products with the
+    exact integer D^{-r} >= 0, which err by at most gamma(m) D^{-r} |Phi_T|
+    and gamma(m) D^{-r} |q| entrywise (Higham (3.13)), and then solves by an
+    SVD, which is normwise backward stable; we take its backward error as
+    beta = sqrt(s) gamma(m s), the columnwise Householder constant of
+    Higham Thm 20.3 in the 2-norm.
+
+    e3 = 2 gamma(s + 3) err_l2, the s subtractions and the 2-norm.
+
+    e4, the error of err* itself: the test forms A by r running sums,
+    which err by at most gamma(r m) D^{-r} |Phi_T|, and solves by an SVD,
+    so Thm 20.1 applies with b = u exact, plus gamma(s + 2) for the norm.
+    ||A|| and kappa come from the same SVD, widened by Weyl's theorem by
+    the error of forming A and the SVD's backward error.  The running sums
+    and norms the test takes to bound these err relatively by at most
+    gamma((r + s) m), and are widened by it.
+
+    In the form c e kappa ||x||, c is about 10^3 (m = 100) to 10^5
+    (m = 1000): gamma(m), the worst case of an m-term sum, and the gap
+    between D^{-r} |Phi_T| and A set it.
+    """
+    n, s, delta, alpha = 256, 5, 0.01, 0.7
+    seed = trial_seed(base, m, trial)
+    rep = full_pipeline(GAUSS, n, s, m, r, delta, alpha, RngStream(seed))
+    assume(rep.support_correct)
+    sig, phi = draw_instance(GAUSS, n, s, m, r, delta, RngStream(seed), 1.0)
+    phi_t, x_t = phi[:, sig.support], sig.values
+    quant = sigma_delta_quantize(phi @ sig.to_dense(), QuantizerConfig(r=r, delta=delta))
+    q, u = quant.q, quant.u
+    norm = np.linalg.norm
+
+    left, sv, vt = np.linalg.svd(difference._apply_power(phi_t, r), full_matrices=False)
+    err_star = float(norm(vt.T @ ((left.T @ u) / sv)))
+
+    slack = gamma((r + s) * m)  # r running sums, then a 2-norm of at most s m terms
+    w_phi = norm(difference._apply_power(np.abs(phi_t), r)) / (1.0 - slack)  # >= ||D^{-r} |Phi_T| ||_F
+    w_q = norm(difference._apply_power(np.abs(q), r)) / (1.0 - slack)
+    b_lo = norm(difference._apply_power(q, r)) * (1.0 - slack) - gamma(r * m) * w_q  # <= ||D^{-r} q||
+    beta = math.sqrt(s) * gamma(m * s)
+    weyl = gamma(r * m) * w_phi + beta * sv[0]
+    a_lo, smin = sv[0] - weyl, sv[-1] - weyl
+    kappa = (sv[0] + weyl) / smin
+
+    def forward(x_norm, resid, rel):
+        eta = rel + beta * (1.0 + rel)
+        assert kappa * eta < 1.0
+        return kappa * eta / (1.0 - kappa * eta) * (2.0 * x_norm + (1.0 / smin + 1.0 / a_lo) * resid)
+
+    inv_norm = math.comb(m + r - 1, r)
+    tau = (gamma(s + 1) * norm(np.abs(phi_t) @ np.abs(x_t))
+           + gamma(r + 1) * 2.0 ** (r - 1) * delta * math.sqrt(m))
+    e1 = inv_norm * tau / smin
+    e4 = forward(err_star, norm(u), gamma(r * m) * w_phi / a_lo) + gamma(s + 2) * err_star
+    x_norm = norm(x_t) + err_star + e4 + e1
+    rel = max(gamma(m) * w_phi / a_lo, gamma(m) * w_q / b_lo)
+    e2 = forward(x_norm, norm(u) + inv_norm * tau, rel)
+    e3 = 2.0 * gamma(s + 3) * rep.err_l2
+    assert abs(rep.err_l2 - err_star) <= e1 + e2 + e3 + e4
+
+
 def test_projection_dim():
     assert projection_dim(200, 2, 0.7) == 8
     assert projection_dim(100, 5, 0.7) == 13
@@ -420,9 +508,6 @@ class TestFullPipeline:
         off = np.setdiff1d(np.arange(64), rep.recovered_support)
         assert np.all(rep.x_hat[off] == 0.0)
         assert rep.ell == projection_dim(60, 3, 0.7)
-        assert rep.rip_hypothesis_ok == (
-            rep.sigma_min_proj >= math.sqrt(1.0 - 1.0 / math.sqrt(2.0))
-        )
         assert rep.err_l2 >= 0.0
 
     def test_epsilon_override(self):
