@@ -26,16 +26,11 @@ from .experiments import (
     summary_to_text,
     sweep_records_to_csv,
 )
-from .linalg import (
-    least_squares,
-    read_matrix_text,
-    write_matrix_text,
-)
+from .linalg import read_matrix_text, write_matrix_text
 from .measurement import Ensemble, SparseSignal, sample_matrix, sample_sparse_signal
 from .quantizer import (
     QuantizationOutput,
     QuantizerConfig,
-    msq_quantize,
     quantization_noise_bound,
     sigma_delta_quantize,
 )

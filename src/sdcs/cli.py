@@ -6,9 +6,9 @@ file outputs are written with fixed float formatting and newlines, so a
 repeated invocation at a fixed BLAS thread count produces byte-identical
 output.
 
-Feedback order is capped at 3 here; error bounds degrade quickly with
-the order and the interesting regime is small r.  The library itself
-accepts any order.
+Feedback order is capped at 3 here, whether it comes from a flag or a
+sweep config file; error bounds degrade quickly with the order and the
+interesting regime is small r.  The library itself accepts any order.
 """
 
 from __future__ import annotations
@@ -163,6 +163,8 @@ def _cmd_sweep(args) -> int:
     }
     values.update({k: str(v) for k, v in overrides.items() if v is not None})
     cfg = build_sweep_config(values)
+    if cfg.r not in _ORDER_CHOICES:  # the config file can set r as well as --order
+        raise ValueError("order must be 1, 2, or 3")
     records = run_decay_sweep(cfg, k_floor=args.k_floor)
     _write(sweep_records_to_csv(records), cfg.output)
     return 0

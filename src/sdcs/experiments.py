@@ -17,16 +17,14 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .linalg import least_squares
 from .measurement import Ensemble
-from .quantizer import msq_quantize
+from .quantizer import QuantizerConfig
 from .recovery import (
     DegenerateDrawError,
-    bpdn_solve,
+    _recover,
     draw_instance,
     full_pipeline,
     projection_dim,
-    support_from,
 )
 from .rng import RngStream, derive_seed
 
@@ -338,38 +336,30 @@ def msq_trial(
     r: int,
     delta: float,
     rng: RngStream,
-    *,
-    k_floor: float = 1.0,
 ) -> MsqTrialResult:
     """Round-each-entry baseline on the identical instance.
 
     Draws the same (signal, matrix) pair as full_pipeline for the same
-    stream, quantizes memorylessly, recovers the support with the
-    matching noise radius delta*sqrt(m)/2, and reconstructs by least
-    squares on the recovered support.  The r argument only fixes the
-    amplitude floor so instances match the feedback-quantizer runs.
+    stream and runs the same recovery with the order-0 quantizer: each
+    entry rounded on its own, the noise radius delta*sqrt(m)/2, and the
+    order-0 dual, which is least squares on the recovered support.  The r
+    argument only fixes the amplitude floor so instances match the
+    feedback-quantizer runs.  A rank-deficient support submatrix raises
+    DegenerateDrawError, as in full_pipeline.
     """
-    signal, phi = draw_instance(ensemble, n, s, m, r, delta, rng, k_floor)
-    x = signal.to_dense()
-    q = msq_quantize(phi @ x, delta)
-    eps = delta * math.sqrt(m) / 2.0
-    result = bpdn_solve(phi, q, eps)
-    t_hat = support_from(result.x, s)
-    x_hat = np.zeros(n)
-    x_hat[t_hat] = least_squares(phi[:, t_hat], q)
-    return MsqTrialResult(
-        err_l2=float(np.linalg.norm(x - x_hat)),
-        support_correct=bool(np.array_equal(t_hat, signal.support)),
-    )
+    signal, phi = draw_instance(ensemble, n, s, m, r, delta, rng, 1.0)
+    msq = QuantizerConfig(r=0, delta=delta)
+    _, t_hat, _, err, _ = _recover(phi, signal.to_dense(), s, msq, None)
+    return MsqTrialResult(err_l2=err, support_correct=bool(np.array_equal(t_hat, signal.support)))
 
 
-def run_msq_baseline(cfg: SweepConfig, m: int, *, k_floor: float = 1.0) -> list[MsqTrialResult]:
+def run_msq_baseline(cfg: SweepConfig, m: int) -> list[MsqTrialResult]:
     """MSQ baseline over the same derived seeds as the sweep at grid point m."""
     ens = Ensemble(cfg.ensemble)
     out = []
     for trial in range(cfg.trials):
         rng = RngStream(trial_seed(cfg.seed, m, trial))
-        out.append(msq_trial(ens, cfg.n, cfg.s, m, cfg.r, cfg.delta, rng, k_floor=k_floor))
+        out.append(msq_trial(ens, cfg.n, cfg.s, m, cfg.r, cfg.delta, rng))
     return out
 
 

@@ -1,9 +1,10 @@
-"""Dense real linear algebra substrate.
+"""Input checks and the matrix fixture format.
 
-All public operations accept array-likes, coerce to float64, and reject
-non-finite entries up front.  Factorizations are LAPACK-backed; contracts
-(ordering, orthonormality, reconstruction) are what the rest of the
-package relies on, not any particular algorithm.
+``as_matrix`` and ``as_vector`` coerce array-likes to float64 and reject
+non-finite entries and empty or misshapen input at every public entry
+point.  The text fixture format stores a matrix with round-trip-exact
+floats.  The package factors its matrices with numpy's LAPACK-backed
+routines where it needs them; this module holds no factorization.
 """
 
 from __future__ import annotations
@@ -33,22 +34,6 @@ def as_vector(a, name: str = "vector") -> np.ndarray:
     if not np.all(np.isfinite(v)):
         raise ValueError(f"{name} contains non-finite entries")
     return v
-
-
-def least_squares(a, b) -> np.ndarray:
-    """Minimum-norm minimizer of ||a x - b||_2, i.e. pinv(a) @ b.
-
-    The pseudoinverse comes from the SVD of a, with singular values at or
-    below 1e-12 * sigma_max treated as zero.
-    """
-    a = as_matrix(a, "a")
-    b = as_vector(b, "b")
-    if a.shape[0] != b.size:
-        raise ValueError(f"dimension mismatch: {a.shape} vs length {b.size}")
-    u, s, vh = np.linalg.svd(a, full_matrices=False)
-    cutoff = 1e-12 * s[0]
-    inv_s = np.where(s > cutoff, 1.0 / np.where(s > cutoff, s, 1.0), 0.0)
-    return ((vh.T * inv_s) @ u.T) @ b
 
 
 def read_matrix_text(text: str) -> np.ndarray:

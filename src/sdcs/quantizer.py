@@ -4,7 +4,9 @@ The r-th order scheme quantizes a vector sequentially, feeding the last r
 state values back into each step so that the quantization error is shaped
 into an r-th order difference: with states u and outputs q,
 ``D^r u = y - q`` exactly, and the greedy output choice keeps every state
-within half a step.
+within half a step.  Order 0 has no feedback: it rounds each entry to the
+nearest lattice point (memoryless scalar quantization, the round-each-entry
+baseline), with u = y - q.
 """
 
 from __future__ import annotations
@@ -19,14 +21,17 @@ from .linalg import as_vector
 
 @dataclass(frozen=True)
 class QuantizerConfig:
-    """Feedback order r >= 1 and lattice step delta > 0."""
+    """Feedback order r >= 0 and lattice step delta > 0.
+
+    r = 0 is memoryless rounding; its noise radius is delta*sqrt(m)/2.
+    """
 
     r: int
     delta: float
 
     def __post_init__(self):
-        if not isinstance(self.r, (int, np.integer)) or self.r < 1:
-            raise ValueError("r must be an integer >= 1")
+        if not isinstance(self.r, (int, np.integer)) or self.r < 0:
+            raise ValueError("r must be an integer >= 0")
         if not (math.isfinite(self.delta) and self.delta > 0):
             raise ValueError("delta must be finite and positive")
 
@@ -51,7 +56,8 @@ def sigma_delta_quantize(y, cfg: QuantizerConfig) -> QuantizationOutput:
     Step i forms the feedback term h_i from the previous r states
     (binomial weights, alternating signs), rounds y_i + h_i to the
     nearest lattice point q_i, and stores the remainder as the new state
-    u_i = y_i + h_i - q_i.  States before the start are zero.
+    u_i = y_i + h_i - q_i.  States before the start are zero.  At r = 0,
+    h_i = 0 and each entry is rounded on its own.
 
     Guarantees, up to float roundoff: q_i/delta integer, |u_i| <= delta/2,
     and the residual identity D^r u = y - q.
@@ -72,16 +78,6 @@ def sigma_delta_quantize(y, cfg: QuantizerConfig) -> QuantizationOutput:
         q.append(qi)
         u.append(yi + h - qi)
     return QuantizationOutput(q=np.array(q, dtype=np.float64), u=np.array(u, dtype=np.float64))
-
-
-def msq_quantize(y, delta: float) -> np.ndarray:
-    """Memoryless scalar quantization: round each entry to the nearest
-    multiple of delta (ties away from zero)."""
-    y = as_vector(y, "y")
-    if not (math.isfinite(delta) and delta > 0):
-        raise ValueError("delta must be finite and positive")
-    t = y / delta
-    return delta * np.sign(t) * np.floor(np.abs(t) + 0.5)
 
 
 def quantization_noise_bound(m: int, cfg: QuantizerConfig) -> float:

@@ -238,10 +238,12 @@ def sobolev_reconstruct(phi, support, q, r: int) -> tuple[np.ndarray, float]:
 
     With A = Dinv_r @ phi[:, support], the dual pinv(A) @ Dinv_r is the left
     inverse of phi[:, support] that minimizes the operator norm against the
-    r-th difference power.  Returns the full-length reconstruction (zero off
-    the support) and sigma_min(A), both from one SVD of A.  The error bound
-    delta*sqrt(m) / (2 sigma_min(A)) holds whenever the support is correct
-    and the greedy quantizer's states stay within delta/2.
+    r-th difference power.  At r = 0, D^0 = I and it is the canonical dual
+    pinv(phi[:, support]), i.e. least squares on the support.  Returns the
+    full-length reconstruction (zero off the support) and sigma_min(A),
+    both from one SVD of A.  The error bound delta*sqrt(m) / (2 sigma_min(A))
+    holds whenever the support is correct and the greedy quantizer's states
+    stay within delta/2.
     """
     phi = as_matrix(phi, "phi")
     q = as_vector(q, "q")
@@ -249,12 +251,14 @@ def sobolev_reconstruct(phi, support, q, r: int) -> tuple[np.ndarray, float]:
     if q.size != m:
         raise ValueError("q length must equal the number of rows of phi")
     t = _check_support(support, m, n)
-    inv = difference_power(m, r)
-    a = inv @ phi[:, t]
+    a, b = phi[:, t], q
+    if r != 0:
+        inv = difference_power(m, r)
+        a, b = inv @ a, inv @ q
     u, s, vh = np.linalg.svd(a, full_matrices=False)
     if s[0] == 0.0 or s[-1] <= 1e-10 * s[0]:
         raise DegenerateDrawError("difference-weighted support submatrix is rank deficient")
-    x_t = (vh.T * (1.0 / s)) @ (u.T @ (inv @ q))
+    x_t = (vh.T * (1.0 / s)) @ (u.T @ b)
     x_hat = np.zeros(n)
     x_hat[t] = x_t
     return x_hat, float(s[-1])
@@ -312,6 +316,26 @@ def draw_instance(
     return signal, phi
 
 
+def _recover(phi, x, s: int, cfg: QuantizerConfig, epsilon: float | None):
+    """Quantize phi @ x with cfg, locate the support by BPDN and reconstruct
+    on it with the order-cfg.r dual.
+
+    The denoising radius defaults to the worst-case quantization noise
+    2^(r-1) * delta * sqrt(m).  Returns the BPDN result, the recovered
+    support, the reconstruction, its l2 error and the bound
+    delta*sqrt(m) / (2 sigma_min).
+    """
+    m = phi.shape[0]
+    quant = sigma_delta_quantize(phi @ x, cfg)
+    eps = quantization_noise_bound(m, cfg) if epsilon is None else epsilon
+    result = bpdn_solve(phi, quant.q, eps)
+    t_hat = support_from(result.x, s)
+    x_hat, smin = sobolev_reconstruct(phi, t_hat, quant.q, cfg.r)
+    err = float(np.linalg.norm(x - x_hat))
+    bound = cfg.delta * math.sqrt(m) / (2.0 * smin)
+    return result, t_hat, x_hat, err, bound
+
+
 def full_pipeline(
     ensemble: Ensemble,
     n: int,
@@ -329,7 +353,7 @@ def full_pipeline(
 
     The instance comes from draw_instance (amplitude floor k_floor *
     2^(r - 1/2) * delta).  The denoising radius defaults to the worst-case
-    quantization noise 2^(r-1) * delta * sqrt(m).
+    quantization noise 2^(r-1) * delta * sqrt(m).  The order r is at least 1.
 
     Reports reconstruction error, the deterministic error bound for the
     recovered support, and the smallest singular value of the scaled
@@ -338,22 +362,14 @@ def full_pipeline(
     """
     if m < s:
         raise ValueError("need m >= s")
+    if r < 1:
+        raise ValueError("r must be >= 1")
     cfg = QuantizerConfig(r=r, delta=delta)
     signal, phi = draw_instance(ensemble, n, s, m, r, delta, rng, k_floor)
     x = signal.to_dense()
-
-    y = phi @ x
-    quant = sigma_delta_quantize(y, cfg)
-    eps = quantization_noise_bound(m, cfg) if epsilon is None else epsilon
-    result = bpdn_solve(phi, quant.q, eps)
-
-    t_hat = support_from(result.x, s)
+    result, t_hat, x_hat, err, bound = _recover(phi, x, s, cfg, epsilon)
     mags = np.sort(np.abs(result.x))[::-1]
     tie = bool(x.size > s and mags[s - 1] - mags[s] < 1e-9)
-
-    x_hat, smin = sobolev_reconstruct(phi, t_hat, quant.q, r)
-    err = float(np.linalg.norm(x - x_hat))
-    bound = delta * math.sqrt(m) / (2.0 * smin)
 
     ell = projection_dim(m, s, alpha)
     w = projected_basis(m, r, ell)

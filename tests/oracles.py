@@ -19,6 +19,15 @@ def difference_matrix(m: int) -> np.ndarray:
     return np.eye(m) - np.eye(m, k=-1)
 
 
+def round_each_entry(y, delta: float) -> np.ndarray:
+    """Vectorized rounding of each entry to the nearest multiple of delta,
+    ties away from zero: the order-0 quantizer's reference.  Adding +0.0
+    turns the -0.0 of a negative entry that rounds to zero into +0.0, the
+    zero the sequential loop stores."""
+    t = np.asarray(y, dtype=np.float64) / delta
+    return delta * np.sign(t) * np.floor(np.abs(t) + 0.5) + 0.0
+
+
 def correlation_root(m: int, corr: float) -> np.ndarray:
     """Symmetric root of the unit-diagonal tridiagonal covariance with
     off-diagonal corr, dense, from its eigendecomposition."""

@@ -190,6 +190,19 @@ def test_sweep_requires_parameters(tmp_path):
     assert msg.startswith("sdcs sweep: error: missing sweep parameters")
 
 
+def test_sweep_config_order_above_cap(tmp_path):
+    # --order takes only 1-3; a config file must not get round that cap
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text(
+        "ensemble = gaussian\nn = 32\ns = 2\nr = 9\ndelta = 0.01\n"
+        "alpha = 0.7\nm_grid = 300\ntrials = 1\nseed = 1\n"
+    )
+    out = tmp_path / "x.csv"
+    msg = usage_error(["sweep", "--config", str(cfg), "--out", str(out)])
+    assert msg == "sdcs sweep: error: order must be 1, 2, or 3"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("args, cmd, why", [
     (["ripscan", "--mode", "exact", "--s", "1", "--m", "6", "--n", "4", "--project", "2,0"],
      "ripscan", "need 1 <= ell <= 6"),

@@ -5,11 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import difference_matrix
+from oracles import difference_matrix, round_each_entry
 from sdcs.quantizer import (
     QuantizerConfig,
     _round_half_away,
-    msq_quantize,
     quantization_noise_bound,
     sigma_delta_quantize,
 )
@@ -21,17 +20,25 @@ def residual(y, out, r):
     return d_pow @ out.u - (np.asarray(y) - out.q)
 
 
+def msq(y, delta):
+    """Order-0 output: each entry rounded on its own."""
+    return sigma_delta_quantize(y, QuantizerConfig(r=0, delta=delta)).q
+
+
 def test_config_validation():
+    QuantizerConfig(r=0, delta=0.5)
     QuantizerConfig(r=1, delta=0.5)
     with pytest.raises(ValueError):
-        QuantizerConfig(r=0, delta=0.5)
+        QuantizerConfig(r=-1, delta=0.5)
+    with pytest.raises(ValueError):
+        QuantizerConfig(r=1.5, delta=0.5)
     with pytest.raises(ValueError):
         QuantizerConfig(r=2, delta=0.0)
     with pytest.raises(ValueError):
         QuantizerConfig(r=2, delta=math.inf)
 
 
-@pytest.mark.parametrize("r", [1, 2, 3])
+@pytest.mark.parametrize("r", [0, 1, 2, 3])
 def test_zero_input_fixed_point(r):
     out = sigma_delta_quantize(np.zeros(7), QuantizerConfig(r=r, delta=0.25))
     assert np.array_equal(out.q, np.zeros(7))
@@ -93,7 +100,7 @@ def numpy_scalar_quantize(y, r, delta):
 
 @settings(derandomize=True, max_examples=80, deadline=None)
 @given(
-    r=st.integers(1, 6),
+    r=st.integers(0, 6),
     delta=st.floats(1e-3, 10.0),
     steps=st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=48),
 )
@@ -103,6 +110,8 @@ def test_identities_up_to_a_million_steps(r, delta, steps):
     want_q, want_u = numpy_scalar_quantize(y, r, delta)
     assert out.q.tobytes() == want_q.tobytes()
     assert out.u.tobytes() == want_u.tobytes()
+    if r == 0:
+        assert out.q.tobytes() == round_each_entry(y, delta).tobytes()
     # each state is a rounding remainder of a sum of size |y| + 2^r delta
     scale = np.max(np.abs(y)) + 2.0**r * delta
     eps = np.finfo(float).eps
@@ -126,28 +135,29 @@ def test_rejects_nonfinite():
     with pytest.raises(ValueError):
         sigma_delta_quantize([0.1, np.nan], QuantizerConfig(r=1, delta=1.0))
     with pytest.raises(ValueError):
-        msq_quantize([np.inf], 1.0)
+        msq([np.inf], 1.0)
 
 
 def test_msq_hand_cases():
-    assert np.array_equal(msq_quantize([0.2, -0.2], 1.0), [0.0, 0.0])
-    assert np.array_equal(msq_quantize([0.26], 0.5), [0.5])
+    assert np.array_equal(msq([0.2, -0.2], 1.0), [0.0, 0.0])
+    assert np.array_equal(msq([0.26], 0.5), [0.5])
     y = np.array([-2.0, 0.0, 3.5])
-    assert np.array_equal(msq_quantize(y, 0.5), y)
+    assert np.array_equal(msq(y, 0.5), y)
 
 
 def test_msq_half_step_ties_away_from_zero():
-    assert np.array_equal(msq_quantize([0.5, -0.5, 1.5], 1.0), [1.0, -1.0, 2.0])
+    assert np.array_equal(msq([0.5, -0.5, 1.5], 1.0), [1.0, -1.0, 2.0])
 
 
 def test_msq_componentwise_error_bound():
     rng = RngStream(3)
     y = 10.0 * rng.normals(200)
-    q = msq_quantize(y, 0.3)
+    q = msq(y, 0.3)
     assert np.max(np.abs(q - y)) <= 0.15 + 1e-12
 
 
 def test_noise_bound_values():
+    assert quantization_noise_bound(4, QuantizerConfig(r=0, delta=1.0)) == 1.0
     assert quantization_noise_bound(1, QuantizerConfig(r=1, delta=1.0)) == pytest.approx(1.0)
     assert quantization_noise_bound(4, QuantizerConfig(r=2, delta=0.5)) == pytest.approx(2.0)
     with pytest.raises(ValueError):

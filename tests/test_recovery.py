@@ -289,11 +289,18 @@ class TestSupportFrom:
 class TestSobolev:
     def test_left_inverse_identity(self):
         rng = RngStream(42)
-        m, s, r = 30, 4, 2
+        m, s = 30, 4
         phi_t = rng.normals(m * s).reshape(m, s)
-        dual = sobolev_dual(phi_t, r)
-        assert dual.shape == (s, m)
-        assert np.max(np.abs(dual @ phi_t - np.eye(s))) <= 1e-8
+        for r in (0, 2):
+            dual = sobolev_dual(phi_t, r)
+            assert dual.shape == (s, m)
+            assert np.max(np.abs(dual @ phi_t - np.eye(s))) <= 1e-8
+        # order 0 is the canonical dual; both pseudoinverses are backward
+        # stable, so they differ by at most about kappa m u ||pinv||
+        pinv = np.linalg.pinv(phi_t)
+        sv = np.linalg.svd(phi_t, compute_uv=False)
+        tol = 10.0 * m * np.finfo(float).eps * (sv[0] / sv[-1]) / sv[-1]
+        assert np.max(np.abs(sobolev_dual(phi_t, 0) - pinv)) <= tol
 
     def test_exact_recovery_without_quantization(self):
         rng = RngStream(43)
@@ -331,6 +338,8 @@ class TestSobolev:
             sobolev_reconstruct(phi, [0, 0], np.ones(6), 1)
         with pytest.raises(ValueError, match="out of range"):
             sobolev_reconstruct(phi, [5], np.ones(6), 1)
+        with pytest.raises(ValueError, match="q length"):
+            sobolev_reconstruct(phi, [0], np.ones(5), 0)
 
 
 class TestErrorBound:
@@ -353,20 +362,25 @@ class TestErrorBound:
 
 @settings(derandomize=True, max_examples=60, deadline=None)
 @given(
-    r=st.sampled_from([1, 2, 3]),
+    r=st.sampled_from([0, 1, 2, 3]),
     s=st.integers(1, 4),
     m=st.integers(1, 64),
     delta=st.floats(1e-3, 1.0),
     seed=st.integers(0, 2**32 - 1),
 )
 def test_sobolev_stage_exact_and_within_bound(r, s, m, delta, seed):
+    # at r = 0, A = Phi_T and the bound is the least-squares bound
+    # delta sqrt(m) / (2 sigma_min(Phi_T))
     m = max(m, s)
     rng = RngStream(seed)
     phi_t = rng.normals(m * s).reshape(m, s)
     x = rng.normals(s)
     y = phi_t @ x
     exact, smin = sobolev_reconstruct(phi_t, range(s), y, r)
-    smax = np.linalg.svd(inverse_difference_power(m, r) @ phi_t, compute_uv=False)[0]
+    a = inverse_difference_power(m, r) @ phi_t if r else phi_t
+    sv = np.linalg.svd(a, compute_uv=False)
+    smax = sv[0]
+    assert abs(smin - sv[-1]) <= 10.0 * m * np.finfo(float).eps * smax
     # backward-stable least squares: forward error of order m * u * cond
     tol = 10.0 * m * np.finfo(float).eps * (smax / smin) * np.linalg.norm(x)
     assert np.linalg.norm(exact - x) <= tol
