@@ -42,6 +42,8 @@ _BASIS_TOL = 1e-12
 _BASIS_FLOOR = 16.0
 _BASIS_MAX_ITERS = 100
 _EPS = float(np.finfo(np.float64).eps)
+# Every integer up to this is an exact double.
+_EXACT_INT = 2**53
 
 
 def _check_order(m: int, r: int) -> None:
@@ -51,9 +53,30 @@ def _check_order(m: int, r: int) -> None:
         raise ValueError("r must be >= 1")
 
 
+def check_exact_power(m: int, r: int) -> None:
+    """Raise ValueError unless every entry of the r-th inverse power at m is
+    an exact double.
+
+    The entries are the binomials C(k + r - 1, r - 1), k < m, increasing in
+    k, so the largest is C(m + r - 2, r - 1); doubles hold every integer up
+    to 2^53 exactly.
+    """
+    top = math.comb(m + r - 2, r - 1)
+    if top > _EXACT_INT:
+        raise ValueError(
+            f"(m, r) = ({m}, {r}) is out of range: the largest entry of the "
+            f"inverse difference power, C({m + r - 2}, {r - 1}) = {top:.3g}, "
+            f"exceeds 2^53, so it is not an exact double"
+        )
+
+
 def inverse_difference_power(m: int, r: int) -> np.ndarray:
-    """r-th power of the inverse difference operator, exactly integer-valued."""
+    """r-th power of the inverse difference operator, exactly integer-valued.
+
+    Raises ValueError where an entry would exceed 2^53 (check_exact_power).
+    """
     _check_order(m, r)
+    check_exact_power(m, r)
     # First column via the integer binomial recurrence c[k] = c[k-1]*(k+r-1)/k.
     col = [1] * m
     for k in range(1, m):

@@ -17,6 +17,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
+from .difference import check_exact_power
 from .measurement import Ensemble
 from .quantizer import QuantizerConfig
 from .recovery import (
@@ -65,6 +66,7 @@ class SweepConfig:
             raise ValueError("m_grid must be strictly increasing")
         if self.m_grid[0] < self.s:
             raise ValueError("every m must be >= s")
+        check_exact_power(self.m_grid[-1], self.r)
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
 

@@ -44,40 +44,44 @@ class QuantizationOutput:
     u: np.ndarray
 
 
-def _round_half_away(t: float) -> int:
-    # Fixed tie-break so outputs are platform-deterministic.
-    k = math.floor(abs(t) + 0.5)
-    return k if t >= 0 else -k
-
-
 def sigma_delta_quantize(y, cfg: QuantizerConfig) -> QuantizationOutput:
     """Run the r-th order greedy feedback quantizer over y.
 
     Step i forms the feedback term h_i from the previous r states
     (binomial weights, alternating signs), rounds y_i + h_i to the
-    nearest lattice point q_i, and stores the remainder as the new state
-    u_i = y_i + h_i - q_i.  States before the start are zero.  At r = 0,
-    h_i = 0 and each entry is rounded on its own.
+    nearest lattice point q_i, ties away from zero, and stores the
+    remainder as the new state u_i = y_i + h_i - q_i.  States before the
+    start are zero.  At r = 0, h_i = 0 and each entry is rounded on its own.
 
     Guarantees, up to float roundoff: q_i/delta integer, |u_i| <= delta/2,
     and the residual identity D^r u = y - q.
     """
     y = as_vector(y, "y")
     r, delta = cfg.r, cfg.delta
-    # h_i = sum_{j=1..r} (-1)^(j+1) C(r, j) u_{i-j}
-    coeffs = [((-1) ** (j + 1)) * math.comb(r, j) for j in range(1, r + 1)]
+    # h_i = 0.0 + sum_{j=1..r} (-1)^(j+1) C(r, j) u_{i-j}, summed in that
+    # order.  u holds r zero states before the start.  They add +-0.0,
+    # which leaves h as it is: h starts at +0.0, and a sum is -0.0 only
+    # when both terms are, so h is never -0.0.
+    lags = [(j, ((-1) ** (j + 1)) * math.comb(r, j)) for j in range(1, r + 1)]
     # Python floats carry the same IEEE doubles as numpy scalars, at a
     # fraction of the per-element cost.
-    u: list[float] = []
-    q: list[float] = []
-    for i, yi in enumerate(y.tolist()):
+    ys = y.tolist()
+    u = [0.0] * (r + len(ys))
+    q = [0.0] * len(ys)
+    floor = math.floor
+    for i, yi in enumerate(ys, r):
         h = 0.0
-        for j in range(1, min(r, i) + 1):
-            h += coeffs[j - 1] * u[i - j]
-        qi = delta * _round_half_away((yi + h) / delta)
-        q.append(qi)
-        u.append(yi + h - qi)
-    return QuantizationOutput(q=np.array(q, dtype=np.float64), u=np.array(u, dtype=np.float64))
+        for j, c in lags:
+            h += c * u[i - j]
+        v = yi + h
+        t = v / delta
+        # k is an int, so a negative t that rounds to zero gives +0.0
+        k = floor(abs(t) + 0.5)
+        qi = delta * (k if t >= 0 else -k)
+        q[i - r] = qi
+        u[i] = v - qi
+    return QuantizationOutput(q=np.array(q, dtype=np.float64),
+                              u=np.array(u[r:], dtype=np.float64))
 
 
 def quantization_noise_bound(m: int, cfg: QuantizerConfig) -> float:

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .difference import difference_power, projected_basis
+from .difference import check_exact_power, difference_power, projected_basis
 from .linalg import as_matrix, as_vector
 from .measurement import Ensemble, SparseSignal, sample_matrix, sample_sparse_signal
 from .quantizer import QuantizerConfig, quantization_noise_bound, sigma_delta_quantize
@@ -224,13 +224,16 @@ def _check_support(support, m: int, n: int) -> np.ndarray:
     t = np.asarray(support, dtype=np.intp)
     if t.ndim != 1 or t.size < 1:
         raise ValueError("support must be a nonempty 1-D index set")
-    if np.unique(t).size != t.size:
+    # Neighbours of the sorted support, not np.unique: its first call
+    # imports numpy.ma, which would land in a process's first trial.
+    t = np.sort(t)
+    if np.any(t[1:] == t[:-1]):
         raise ValueError("support contains duplicate indices")
-    if t.min() < 0 or t.max() >= n:
+    if t[0] < 0 or t[-1] >= n:
         raise ValueError("support index out of range")
     if t.size > m:
         raise ValueError("support larger than the number of measurements")
-    return np.sort(t)
+    return t
 
 
 def sobolev_reconstruct(phi, support, q, r: int) -> tuple[np.ndarray, float]:
@@ -353,7 +356,9 @@ def full_pipeline(
 
     The instance comes from draw_instance (amplitude floor k_floor *
     2^(r - 1/2) * delta).  The denoising radius defaults to the worst-case
-    quantization noise 2^(r-1) * delta * sqrt(m).  The order r is at least 1.
+    quantization noise 2^(r-1) * delta * sqrt(m).  The order r is at least 1,
+    and (m, r) must keep the inverse difference power exact
+    (check_exact_power).
 
     Reports reconstruction error, the deterministic error bound for the
     recovered support, and the smallest singular value of the scaled
@@ -364,6 +369,7 @@ def full_pipeline(
         raise ValueError("need m >= s")
     if r < 1:
         raise ValueError("r must be >= 1")
+    check_exact_power(m, r)
     cfg = QuantizerConfig(r=r, delta=delta)
     signal, phi = draw_instance(ensemble, n, s, m, r, delta, rng, k_floor)
     x = signal.to_dense()

@@ -29,6 +29,10 @@ chunks (see _colex_chunks).
 Normalization is always the caller's job: nothing here rescales inputs,
 except for projected_matrix whose 1/sqrt(ell) factor is part of its
 definition.
+
+small_ball_probe draws its columns through measurement.projected_draw, in
+row blocks of about 2 MiB, and keeps only their ell-row projection; the
+scans take a matrix the caller has drawn whole.
 """
 
 from __future__ import annotations
@@ -42,7 +46,7 @@ import numpy as np
 
 from .difference import projected_basis
 from .linalg import as_matrix
-from .measurement import Ensemble, sample_matrix
+from .measurement import Ensemble, projected_draw
 from .rng import RngStream
 
 ENUMERATION_CAP = 10**6
@@ -281,12 +285,12 @@ def small_ball_probe(
 
     A healthy ensemble keeps the lower quantiles well away from zero;
     for entrywise-independent unit-variance ensembles the mean is ell.
+    The columns are drawn and projected in row blocks (projected_draw), so
+    the probe holds ell * trials doubles plus one block, not m * trials.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    w = projected_basis(m, r, ell)
-    cols = sample_matrix(ensemble, m, trials, rng)
-    sq = np.sum((w @ cols) ** 2, axis=0)
+    sq = np.sum(projected_draw(ensemble, projected_basis(m, r, ell), trials, rng) ** 2, axis=0)
     return SmallBallSummary(
         ell=ell,
         trials=trials,

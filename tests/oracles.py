@@ -1,5 +1,6 @@
 """Reference operators and rounding constants that only the tests use."""
 
+import math
 from itertools import combinations
 
 import numpy as np
@@ -17,6 +18,12 @@ def difference_matrix(m: int) -> np.ndarray:
     if m < 1:
         raise ValueError("m must be >= 1")
     return np.eye(m) - np.eye(m, k=-1)
+
+
+def round_half_away(t: float) -> int:
+    """Nearest integer to t, ties away from zero."""
+    k = math.floor(abs(t) + 0.5)
+    return k if t >= 0 else -k
 
 
 def round_each_entry(y, delta: float) -> np.ndarray:

@@ -41,6 +41,16 @@ def test_inverse_power_binomial_entries():
             assert inv.tobytes() == want.tobytes()
 
 
+def test_inverse_power_entries_stay_exact_doubles():
+    # largest entry C(m + r - 2, r - 1): 7.3e13 at (200, 9), 6.4e21 at (2000, 9)
+    inv = inverse_difference_power(200, 9)
+    assert inv[:, 0].tolist() == [float(math.comb(k + 8, 8)) for k in range(200)]
+    with pytest.raises(ValueError, match=r"C\(2007, 8\) = 6.44e\+21, exceeds 2\^53"):
+        inverse_difference_power(2000, 9)
+    with pytest.raises(ValueError, match="2\\^53"):
+        difference_power(2000, 9)
+
+
 def test_inverse_power_builds_without_index_arrays():
     tracemalloc.start()
     try:

@@ -54,6 +54,12 @@ def test_config_validation():
     with pytest.raises(ValueError, match="ensemble"):
         SweepConfig(ensemble="uniform", n=16, s=2, r=1, delta=0.1, alpha=0.5,
                     m_grid=(8,), trials=1, seed=0)
+    # the grid's largest m sets the largest entry of D^{-r}, C(m + r - 2, r - 1)
+    with pytest.raises(ValueError, match=r"C\(2007, 8\) = 6.44e\+21, exceeds 2\^53"):
+        SweepConfig(ensemble="gaussian", n=16, s=2, r=9, delta=0.1, alpha=0.5,
+                    m_grid=(100, 2000), trials=1, seed=0)
+    SweepConfig(ensemble="gaussian", n=16, s=2, r=9, delta=0.1, alpha=0.5,
+                m_grid=(100, 200), trials=1, seed=0)
 
 
 def test_record_count_and_order(small_records):

@@ -7,7 +7,14 @@ import pytest
 
 from oracles import U, correlation_root, gamma
 from sdcs.difference import projected_basis
-from sdcs.measurement import Ensemble, sample_matrix, sample_sparse_signal
+from sdcs.measurement import (
+    _DRAW_BLOCK,
+    ENSEMBLE_KINDS,
+    Ensemble,
+    projected_draw,
+    sample_matrix,
+    sample_sparse_signal,
+)
 from sdcs.rng import RngStream
 
 
@@ -116,6 +123,57 @@ def test_column_model_draw_holds_no_square_array_and_keeps_nothing():
         tracemalloc.stop()
     assert peak < 16 * 2**20
     assert after - before < 64 * 2**10
+
+
+# (m, n): one block; two blocks, the second short (150 rows, then 50);
+# one row per block, as a row is longer than a block.
+@pytest.mark.parametrize("m, n", [(1, 5), (200, _DRAW_BLOCK // 150), (3, _DRAW_BLOCK + 7)])
+@pytest.mark.parametrize("kind", ENSEMBLE_KINDS)
+def test_projected_draw_is_the_product_with_the_whole_draw(kind, m, n):
+    """projected_draw equals w @ sample_matrix on the same draws, to within
+    the rounding of the two paths, and consumes the same draws.
+
+    gaussian, rademacher: both paths form each entry as an inner product of
+    w_i and the same column x_j, m products summed in some order (BLAS's,
+    or block partials then the blocks), so each is within
+    gamma_m (|w_i|.|x_j|) of the exact value (Higham, Accuracy and
+    Stability of Numerical Algorithms, Section 3.1), and they differ by at
+    most twice that.  gamma_2m in place of gamma_m covers the rounding of
+    forming |W||X| here.
+
+    column-model: the reference is fl(w_i . z_j), z_j = S^(1/2) g_j + e_j
+    from the transform path, with ||e_j|| <= tau ||g_j|| and tau the bound
+    of test_column_model_is_the_symmetric_root_of_its_covariance.  The
+    blocked path is fl(w'_i . g_j), w'_i = S^(1/2) w_i + f_i by the same
+    transform applied to w_i, ||f_i|| <= tau ||w_i||.  Each differs from
+    w_i^T S^(1/2) g_j by its root error, at most tau ||w_i|| ||g_j|| by
+    Cauchy-Schwarz, plus its product's rounding: gamma_m (|W||Z|)_ij, and
+    gamma_m ||w'_i|| ||g_j|| <= gamma_m (sqrt(1.6) + tau) ||w_i|| ||g_j||,
+    as ||S^(1/2)|| = sqrt(1 + 2c) = sqrt(1.6).
+    """
+    ens = Ensemble(kind)
+    w = RngStream(m + 1).normals(5 * m).reshape(5, m)
+    ref_rng, got_rng = RngStream(n), RngStream(n)
+    x = sample_matrix(ens, m, n, ref_rng)
+    got = projected_draw(ens, w, n, got_rng)
+    assert got_rng.counter == ref_rng.counter
+    ref = w @ x
+    tol = 2 * gamma(2 * m) * (np.abs(w) @ np.abs(x))
+    if kind == "column-model":
+        g = RngStream(n).rademacher(m * n).reshape(m, n)
+        psi = math.sqrt(2.0) * fft_error(2 * m + 2) + gamma(3)
+        tau = math.sqrt(1.6) * ((1 + psi) ** 2 * (1 + 15 * U) - 1)
+        norms = np.outer(np.linalg.norm(w, axis=1), np.linalg.norm(g, axis=0))
+        tol = (gamma(2 * m) * (np.abs(w) @ np.abs(x))
+               + (2 * tau + gamma(2 * m) * (math.sqrt(1.6) + tau)) * norms)
+    assert np.all(np.abs(got - ref) <= tol)
+
+
+def test_projected_draw_validation():
+    with pytest.raises(ValueError):
+        projected_draw(Ensemble("gaussian"), np.ones(3), 4, RngStream(0))
+    with pytest.raises(ValueError):
+        projected_draw(Ensemble("gaussian"), np.ones((2, 3)), 0, RngStream(0))
 
 
 def test_sample_matrix_validates_dims():

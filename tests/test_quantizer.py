@@ -5,13 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import difference_matrix, round_each_entry
-from sdcs.quantizer import (
-    QuantizerConfig,
-    _round_half_away,
-    quantization_noise_bound,
-    sigma_delta_quantize,
-)
+from oracles import difference_matrix, round_each_entry, round_half_away
+from sdcs.quantizer import QuantizerConfig, quantization_noise_bound, sigma_delta_quantize
 from sdcs.rng import RngStream
 
 
@@ -93,7 +88,7 @@ def numpy_scalar_quantize(y, r, delta):
         for j in range(1, min(r, i) + 1):
             h += coeffs[j - 1] * u[i - j]
         t = (y[i] + h) / delta
-        q[i] = delta * _round_half_away(t)
+        q[i] = delta * round_half_away(t)
         u[i] = y[i] + h - q[i]
     return q, u
 

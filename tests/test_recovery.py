@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -24,6 +27,7 @@ from sdcs.recovery import (
 from sdcs.rng import RngStream
 
 GAUSS = Ensemble("gaussian")
+SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src")
 
 
 def sobolev_dual(phi_t, r):
@@ -336,8 +340,12 @@ class TestSobolev:
         phi = RngStream(5).normals(12).reshape(6, 2)
         with pytest.raises(ValueError, match="duplicate"):
             sobolev_reconstruct(phi, [0, 0], np.ones(6), 1)
+        with pytest.raises(ValueError, match="duplicate"):
+            sobolev_reconstruct(phi, [1, 0, 1], np.ones(6), 1)
         with pytest.raises(ValueError, match="out of range"):
             sobolev_reconstruct(phi, [5], np.ones(6), 1)
+        with pytest.raises(ValueError, match="out of range"):
+            sobolev_reconstruct(phi, [1, -1], np.ones(6), 1)
         with pytest.raises(ValueError, match="q length"):
             sobolev_reconstruct(phi, [0], np.ones(5), 0)
 
@@ -582,6 +590,27 @@ class TestFullPipeline:
     def test_m_less_than_s_rejected(self):
         with pytest.raises(ValueError):
             full_pipeline(GAUSS, 64, 5, 4, 1, 0.02, 0.7, RngStream(0))
+
+    def test_inexact_inverse_power_rejected_before_drawing(self):
+        # C(2007, 8) = 6.4e21 > 2^53: the dense D^{-9} would not be exact
+        rng = RngStream(0)
+        with pytest.raises(ValueError, match=r"C\(2007, 8\) = 6.44e\+21, exceeds 2\^53"):
+            full_pipeline(GAUSS, 64, 3, 2000, 9, 0.02, 0.7, rng)
+        assert rng.counter == 0
+        # C(207, 8) = 7.3e13 is exact; the check is on the entries only
+        assert math.isfinite(full_pipeline(GAUSS, 64, 3, 200, 9, 0.02, 0.7, rng).err_l2)
+
+    def test_first_trial_does_not_import_numpy_ma(self):
+        # numpy.ma costs about 14 ms to import; a trial has no use for it
+        code = ("import sys\n"
+                "from sdcs.measurement import Ensemble\n"
+                "from sdcs.recovery import full_pipeline\n"
+                "from sdcs.rng import RngStream\n"
+                "full_pipeline(Ensemble('gaussian'), 64, 3, 40, 2, 0.02, 0.7, RngStream(1))\n"
+                "assert 'numpy.ma' not in sys.modules\n")
+        env = dict(os.environ, PYTHONPATH=SRC)
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+        assert out.returncode == 0, out.stderr
 
     def test_regression_baseline_support_recovery(self):
         # 20-seed baseline at n=256, s=5, r=2, delta=0.01, m=600
