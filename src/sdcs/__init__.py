@@ -12,12 +12,10 @@ from .difference import (
     singular_profile,
 )
 from .experiments import (
-    MsqTrialResult,
     SweepConfig,
     SweepRecord,
     SweepSummary,
     fit_loglog_slope,
-    msq_trial,
     read_sweep_csv,
     run_decay_sweep,
     run_msq_baseline,
@@ -37,9 +35,11 @@ from .quantizer import (
 from .recovery import (
     BpdnResult,
     DegenerateDrawError,
+    MsqTrialResult,
     RecoveryReport,
     bpdn_solve,
     full_pipeline,
+    msq_trial,
     projection_dim,
     sobolev_reconstruct,
     support_from,

@@ -19,7 +19,6 @@ import sys
 import numpy as np
 
 from .experiments import (
-    _fmt,
     build_sweep_config,
     parse_config_text,
     read_sweep_csv,
@@ -29,7 +28,7 @@ from .experiments import (
     summary_to_text,
     sweep_records_to_csv,
 )
-from .linalg import read_matrix_text, write_matrix_text
+from .linalg import format_value, read_matrix_text, write_matrix_text
 from .measurement import ENSEMBLE_KINDS, Ensemble, sample_matrix, sample_sparse_signal
 from .quantizer import QuantizerConfig, sigma_delta_quantize
 from .recovery import full_pipeline
@@ -91,7 +90,7 @@ def _cmd_quantize(args) -> int:
     out = sigma_delta_quantize(y, QuantizerConfig(r=args.order, delta=args.delta))
     lines = ["q,u"]
     for qi, ui in zip(out.q, out.u):
-        lines.append(f"{_fmt(qi)},{_fmt(ui)}")
+        lines.append(f"{format_value(qi)},{format_value(ui)}")
     _write("\n".join(lines) + "\n", args.out)
     return 0
 
@@ -109,12 +108,12 @@ def _cmd_reconstruct(args) -> int:
         k_floor=args.k_floor, epsilon=args.epsilon,
     )
     support = ";".join(str(int(i)) for i in rep.recovered_support)
-    values = ";".join(_fmt(v) for v in rep.x_hat[rep.recovered_support])
+    values = ";".join(format_value(v) for v in rep.x_hat[rep.recovered_support])
     row = ",".join([
         args.ensemble, str(args.n), str(args.s), str(args.m), str(args.order),
-        _fmt(args.delta), _fmt(args.alpha), str(rep.ell), str(args.seed),
-        "1" if rep.support_correct else "0", _fmt(rep.err_l2),
-        _fmt(rep.err_bound), _fmt(rep.sigma_min_proj), support, values,
+        format_value(args.delta), format_value(args.alpha), str(rep.ell), str(args.seed),
+        format_value(rep.support_correct), format_value(rep.err_l2),
+        format_value(rep.err_bound), format_value(rep.sigma_min_proj), support, values,
     ])
     _write(_RECONSTRUCT_COLUMNS + "\n" + row + "\n", args.out)
     return 0
@@ -146,7 +145,7 @@ def _cmd_ripscan(args) -> int:
                               RngStream(args.seed).substream("ripscan-supports"))
     _write(
         "s,mode,value,supports_checked\n"
-        f"{est.s},{est.mode},{_fmt(est.value)},{est.supports_checked}\n",
+        f"{est.s},{est.mode},{format_value(est.value)},{est.supports_checked}\n",
         args.out,
     )
     return 0
@@ -165,7 +164,7 @@ def _cmd_sweep(args) -> int:
     cfg = build_sweep_config(values)
     if cfg.r not in _ORDER_CHOICES:  # the config file can set r as well as --order
         raise ValueError("order must be 1, 2, or 3")
-    records = run_decay_sweep(cfg, k_floor=args.k_floor)
+    records = run_decay_sweep(cfg)
     _write(sweep_records_to_csv(records), cfg.output)
     return 0
 
@@ -248,7 +247,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m-grid", default=None, help="comma-separated measurement counts")
     p.add_argument("--trials", type=int, default=None)
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--k-floor", type=float, default=1.0)
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_sweep)
 

@@ -1,9 +1,11 @@
 """Sweep orchestration, aggregation, and the CSV/report contracts.
 
-A sweep runs the full recovery pipeline over a grid of measurement
-counts with several trials per grid point, each trial on its own derived
-random substream, so results are reproducible and independent of
-execution order.  Aggregation reports per-m medians and quartiles over
+A sweep runs recovery.full_pipeline over a grid of measurement counts with
+several trials per grid point, each trial on its own derived random
+substream, so results are reproducible and independent of execution order.
+The MSQ baseline runs recovery.msq_trial on the same seeds at one grid
+point.  Both record a degenerate draw as a failed trial (infinite error)
+and go on.  Aggregation reports per-m medians and quartiles over
 the support-correct trials, the support recovery rate, the fitted
 log-log decay slope of median error against the oversampling ratio
 lambda = m/s, and the worst observed ratio of error to the theoretical
@@ -18,15 +20,9 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .difference import check_exact_power
+from .linalg import format_value
 from .measurement import Ensemble
-from .quantizer import QuantizerConfig
-from .recovery import (
-    DegenerateDrawError,
-    _recover,
-    draw_instance,
-    full_pipeline,
-    projection_dim,
-)
+from .recovery import DegenerateDrawError, MsqTrialResult, full_pipeline, msq_trial, projection_dim
 from .rng import RngStream, derive_seed
 
 SWEEP_CSV_COLUMNS = (
@@ -94,7 +90,10 @@ class SweepRecord:
     bpdn_violation: float = math.nan
     bpdn_converged: bool | None = None
     support_tie_flag: bool | None = None
-    failed: bool = False
+
+    @property
+    def failed(self) -> bool:  # a degenerate draw
+        return self.err_l2 == math.inf
 
 
 def trial_seed(base_seed: int, m: int, trial: int) -> int:
@@ -102,11 +101,11 @@ def trial_seed(base_seed: int, m: int, trial: int) -> int:
     return derive_seed(base_seed, ("sweep", m, trial))
 
 
-def run_decay_sweep(cfg: SweepConfig, *, k_floor: float = 1.0) -> list[SweepRecord]:
+def run_decay_sweep(cfg: SweepConfig) -> list[SweepRecord]:
     """Run the pipeline over the m-grid; records come back in (m, trial) order.
 
-    Per-trial failures (degenerate draws) are recorded with failed=True
-    and infinite error rather than aborting the sweep.
+    A degenerate draw is recorded as a failed row (infinite error and
+    bound) rather than aborting the sweep.
     """
     ens = Ensemble(cfg.ensemble)
     records: list[SweepRecord] = []
@@ -120,13 +119,13 @@ def run_decay_sweep(cfg: SweepConfig, *, k_floor: float = 1.0) -> list[SweepReco
             try:
                 rep = full_pipeline(
                     ens, cfg.n, cfg.s, m, cfg.r, cfg.delta, cfg.alpha,
-                    RngStream(seed), k_floor=k_floor,
+                    RngStream(seed),
                 )
             except DegenerateDrawError:
                 records.append(SweepRecord(
                     **base, ell=projection_dim(m, cfg.s, cfg.alpha),
                     support_correct=False, err_l2=math.inf, bound_eq3=math.inf,
-                    sigma_min_proj=math.nan, failed=True,
+                    sigma_min_proj=math.nan,
                 ))
                 continue
             records.append(SweepRecord(
@@ -141,28 +140,19 @@ def run_decay_sweep(cfg: SweepConfig, *, k_floor: float = 1.0) -> list[SweepReco
     return records
 
 
-def _fmt(value) -> str:
-    """Round-trip-exact text for a CSV cell; numpy floats print as plain floats."""
-    if isinstance(value, bool):
-        return "1" if value else "0"
-    if isinstance(value, float):
-        return repr(float(value))
-    return str(value)
-
-
 def sweep_records_to_csv(records: list[SweepRecord]) -> str:
     """Render records under the fixed sweep CSV contract."""
     lines = [",".join(SWEEP_CSV_COLUMNS)]
     for rec in records:
-        lines.append(",".join(_fmt(getattr(rec, c)) for c in SWEEP_CSV_COLUMNS))
+        lines.append(",".join(format_value(getattr(rec, c)) for c in SWEEP_CSV_COLUMNS))
     return "\n".join(lines) + "\n"
 
 
 def read_sweep_csv(text: str) -> list[SweepRecord]:
     """Parse a sweep CSV back into records.
 
-    The diagnostics the CSV does not carry read back as nan or None;
-    failed is recovered from the row, as err_l2 == inf.
+    The diagnostics the CSV does not carry read back as nan or None.
+    support_correct must be 0 or 1.
     """
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines or tuple(lines[0].split(",")) != SWEEP_CSV_COLUMNS:
@@ -173,14 +163,15 @@ def read_sweep_csv(text: str) -> list[SweepRecord]:
         if len(parts) != len(SWEEP_CSV_COLUMNS):
             raise ValueError(f"bad sweep CSV row: {ln!r}")
         d = dict(zip(SWEEP_CSV_COLUMNS, parts))
-        err = float(d["err_l2"])
+        if d["support_correct"] not in ("0", "1"):
+            raise ValueError(f"bad sweep CSV row: support_correct must be 0 or 1: {ln!r}")
         records.append(SweepRecord(
             ensemble=d["ensemble"], n=int(d["n"]), s=int(d["s"]), m=int(d["m"]),
             r=int(d["r"]), delta=float(d["delta"]), alpha=float(d["alpha"]),
             ell=int(d["ell"]), trial=int(d["trial"]), seed=int(d["seed"]),
             support_correct=d["support_correct"] == "1",
-            err_l2=err, bound_eq3=float(d["bound_eq3"]),
-            sigma_min_proj=float(d["sigma_min_proj"]), failed=err == math.inf,
+            err_l2=float(d["err_l2"]), bound_eq3=float(d["bound_eq3"]),
+            sigma_min_proj=float(d["sigma_min_proj"]),
         ))
     return records
 
@@ -288,15 +279,15 @@ SUMMARY_CSV_COLUMNS = (
 
 
 def _opt(value) -> str:
-    return "" if value is None else _fmt(value)
+    return "" if value is None else format_value(value)
 
 
 def summary_to_csv(summary: SweepSummary) -> str:
     lines = [",".join(SUMMARY_CSV_COLUMNS)]
     for row in summary.rows:
         lines.append(",".join([
-            str(row.m), repr(row.lam), str(row.trials), str(row.recovered),
-            repr(row.recovery_rate), _opt(row.err_median), _opt(row.err_q1),
+            str(row.m), format_value(row.lam), str(row.trials), str(row.recovered),
+            format_value(row.recovery_rate), _opt(row.err_median), _opt(row.err_q1),
             _opt(row.err_q3), _opt(row.bound_median), _opt(row.bound_ok_rate),
             _opt(row.decay_ratio_max),
         ]))
@@ -324,44 +315,17 @@ def summary_to_text(summary: SweepSummary) -> str:
     return "\n".join(out) + "\n"
 
 
-@dataclass(frozen=True)
-class MsqTrialResult:
-    err_l2: float
-    support_correct: bool
-
-
-def msq_trial(
-    ensemble: Ensemble,
-    n: int,
-    s: int,
-    m: int,
-    r: int,
-    delta: float,
-    rng: RngStream,
-) -> MsqTrialResult:
-    """Round-each-entry baseline on the identical instance.
-
-    Draws the same (signal, matrix) pair as full_pipeline for the same
-    stream and runs the same recovery with the order-0 quantizer: each
-    entry rounded on its own, the noise radius delta*sqrt(m)/2, and the
-    order-0 dual, which is least squares on the recovered support.  The r
-    argument only fixes the amplitude floor so instances match the
-    feedback-quantizer runs.  A rank-deficient support submatrix raises
-    DegenerateDrawError, as in full_pipeline.
-    """
-    signal, phi = draw_instance(ensemble, n, s, m, r, delta, rng, 1.0)
-    msq = QuantizerConfig(r=0, delta=delta)
-    _, t_hat, _, err, _ = _recover(phi, signal.to_dense(), s, msq, None)
-    return MsqTrialResult(err_l2=err, support_correct=bool(np.array_equal(t_hat, signal.support)))
-
-
 def run_msq_baseline(cfg: SweepConfig, m: int) -> list[MsqTrialResult]:
-    """MSQ baseline over the same derived seeds as the sweep at grid point m."""
+    """MSQ baseline over the same derived seeds as the sweep at grid point m;
+    as in the sweep, a degenerate draw is a failed trial (infinite error)."""
     ens = Ensemble(cfg.ensemble)
     out = []
     for trial in range(cfg.trials):
         rng = RngStream(trial_seed(cfg.seed, m, trial))
-        out.append(msq_trial(ens, cfg.n, cfg.s, m, cfg.r, cfg.delta, rng))
+        try:
+            out.append(msq_trial(ens, cfg.n, cfg.s, m, cfg.r, cfg.delta, rng))
+        except DegenerateDrawError:
+            out.append(MsqTrialResult(err_l2=math.inf, support_correct=False))
     return out
 
 
@@ -371,6 +335,7 @@ _CONFIG_FIELDS = {f.name for f in fields(SweepConfig)}
 def parse_config_text(text: str) -> dict[str, str]:
     """Parse the flat key = value sweep config format."""
     values: dict[str, str] = {}
+    seen: dict[str, int] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -381,6 +346,9 @@ def parse_config_text(text: str) -> dict[str, str]:
         key = key.strip()
         if key not in _CONFIG_FIELDS:
             raise ValueError(f"config line {lineno}: unknown key {key!r}")
+        if key in seen:
+            raise ValueError(f"config line {lineno}: key {key!r} repeats line {seen[key]}")
+        seen[key] = lineno
         values[key] = val.strip()
     return values
 

@@ -1,10 +1,12 @@
-"""Input checks and the matrix fixture format.
+"""Input checks, number text and the matrix fixture format.
 
 ``as_matrix`` and ``as_vector`` coerce array-likes to float64 and reject
 non-finite entries and empty or misshapen input at every public entry
-point.  The text fixture format stores a matrix with round-trip-exact
-floats.  The package factors its matrices with numpy's LAPACK-backed
-routines where it needs them; this module holds no factorization.
+point.  ``format_value`` is the one text form of the numbers the package
+writes (round-trip-exact floats, flags as 0/1): the matrix fixture format,
+the sweep and summary CSVs and the CLI outputs all use it.  The package
+factors its matrices with numpy's LAPACK-backed routines where it needs
+them; this module holds no factorization.
 """
 
 from __future__ import annotations
@@ -36,6 +38,16 @@ def as_vector(a, name: str = "vector") -> np.ndarray:
     return v
 
 
+def format_value(value) -> str:
+    """Round-trip-exact text for a number; numpy floats print as plain floats
+    and bools as 1 and 0."""
+    if isinstance(value, bool):
+        return "1" if value else "0"
+    if isinstance(value, float):
+        return repr(float(value))
+    return str(value)
+
+
 def read_matrix_text(text: str) -> np.ndarray:
     """Parse the matrix fixture format: 'rows cols' then one line per row."""
     lines = [ln for ln in text.splitlines() if ln.strip()]
@@ -63,5 +75,5 @@ def write_matrix_text(a) -> str:
     a = as_matrix(a)
     rows = [f"{a.shape[0]} {a.shape[1]}"]
     for i in range(a.shape[0]):
-        rows.append(" ".join(repr(float(x)) for x in a[i]))
+        rows.append(" ".join(format_value(x) for x in a[i]))
     return "\n".join(rows) + "\n"

@@ -5,6 +5,9 @@ quantized vector as noisy measurements.  Fine stage: a noise-shaping dual
 of the support submatrix reconstructs the coefficients; it is the left
 inverse minimizing the operator norm against the r-th order difference,
 which is what makes feedback-quantization noise nearly invisible to it.
+
+Both trials share that recovery: full_pipeline at order r >= 1, and
+msq_trial, the round-each-entry baseline, at order 0 on the same instance.
 """
 
 from __future__ import annotations
@@ -14,10 +17,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .difference import check_exact_power, difference_power, projected_basis
+from .difference import check_exact_power, difference_power
 from .linalg import as_matrix, as_vector
 from .measurement import Ensemble, SparseSignal, sample_matrix, sample_sparse_signal
 from .quantizer import QuantizerConfig, quantization_noise_bound, sigma_delta_quantize
+from .rip import projected_matrix
 from .rng import RngStream
 
 
@@ -260,7 +264,8 @@ def sobolev_reconstruct(phi, support, q, r: int) -> tuple[np.ndarray, float]:
         a, b = inv @ a, inv @ q
     u, s, vh = np.linalg.svd(a, full_matrices=False)
     if s[0] == 0.0 or s[-1] <= 1e-10 * s[0]:
-        raise DegenerateDrawError("difference-weighted support submatrix is rank deficient")
+        what = "support submatrix" if r == 0 else "difference-weighted support submatrix"
+        raise DegenerateDrawError(f"{what} is rank deficient")
     x_t = (vh.T * (1.0 / s)) @ (u.T @ b)
     x_hat = np.zeros(n)
     x_hat[t] = x_t
@@ -377,13 +382,9 @@ def full_pipeline(
     mags = np.sort(np.abs(result.x))[::-1]
     tie = bool(x.size > s and mags[s - 1] - mags[s] < 1e-9)
 
-    ell = projection_dim(m, s, alpha)
-    w = projected_basis(m, r, ell)
-    proj_sub = (w @ phi[:, t_hat]) / math.sqrt(ell)
-    if ell >= t_hat.size:
-        smin_proj = float(np.linalg.svd(proj_sub, compute_uv=False)[-1])
-    else:
-        smin_proj = 0.0  # fewer rows than support size: not injective
+    ell = projection_dim(m, s, alpha)  # >= s, since (s/m)^alpha >= s/m
+    proj_sub = projected_matrix(phi[:, t_hat], r, ell)
+    smin_proj = float(np.linalg.svd(proj_sub, compute_uv=False)[-1])
 
     l1_slack = float(np.sum(np.abs(result.x)) - np.sum(np.abs(x)))
     return RecoveryReport(
@@ -400,3 +401,27 @@ def full_pipeline(
         bpdn_violation=result.violation,
         bpdn_l1_slack=l1_slack,
     )
+
+
+@dataclass(frozen=True)
+class MsqTrialResult:
+    err_l2: float
+    support_correct: bool
+
+
+def msq_trial(ensemble: Ensemble, n: int, s: int, m: int, r: int, delta: float,
+              rng: RngStream) -> MsqTrialResult:
+    """Round-each-entry baseline on the identical instance.
+
+    Draws the same (signal, matrix) pair as full_pipeline for the same
+    stream and runs the same recovery with the order-0 quantizer: each
+    entry rounded on its own, the noise radius delta*sqrt(m)/2, and the
+    order-0 dual, which is least squares on the recovered support.  The r
+    argument only fixes the amplitude floor so instances match the
+    feedback-quantizer runs.  A rank-deficient support submatrix raises
+    DegenerateDrawError, as in full_pipeline.
+    """
+    signal, phi = draw_instance(ensemble, n, s, m, r, delta, rng, 1.0)
+    msq = QuantizerConfig(r=0, delta=delta)
+    _, t_hat, _, err, _ = _recover(phi, signal.to_dense(), s, msq, None)
+    return MsqTrialResult(err_l2=err, support_correct=bool(np.array_equal(t_hat, signal.support)))

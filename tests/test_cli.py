@@ -152,6 +152,31 @@ def test_sweep_config_file_and_overrides(tmp_path):
     assert len(read_sweep_csv(out3.read_text())) == 2
 
 
+@pytest.mark.parametrize("ensemble, order", [
+    ("gaussian", 1), ("rademacher", 2), ("column-model", 3),
+])
+def test_every_sweep_row_replays_with_reconstruct(tmp_path, ensemble, order):
+    # A sweep row and `sdcs reconstruct --seed <row seed>` share every column
+    # but trial; the row's cells must come back byte for byte.
+    common = ["--ensemble", ensemble, "--n", "64", "--s", "3", "--order", str(order),
+              "--delta", "0.02", "--alpha", "0.7"]
+    sweep = tmp_path / "sweep.csv"
+    run_cli(["sweep", *common, "--m-grid", "60,120", "--trials", "2", "--seed", "5",
+             "--out", str(sweep)])
+    header, *rows = sweep.read_text().splitlines()
+    assert len(rows) == 4
+    for row in rows:
+        cells = dict(zip(header.split(","), row.split(",")))
+        out = tmp_path / f"rep-{cells['seed']}.csv"
+        run_cli(["reconstruct", *common, "--m", cells["m"], "--seed", cells["seed"],
+                 "--out", str(out)])
+        rep_header, rep_row = out.read_text().splitlines()
+        replay = dict(zip(rep_header.split(","), rep_row.split(",")))
+        shared = [c for c in header.split(",") if c in replay]
+        assert len(shared) == 13
+        assert [replay[c] for c in shared] == [cells[c] for c in shared]
+
+
 def usage_error(args):
     """Run the CLI on bad input; return the message it exits with."""
     with pytest.raises(SystemExit) as exc:

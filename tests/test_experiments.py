@@ -14,7 +14,6 @@ from sdcs.experiments import (
     SweepRecord,
     build_sweep_config,
     fit_loglog_slope,
-    msq_trial,
     parse_config_text,
     read_sweep_csv,
     run_decay_sweep,
@@ -26,7 +25,13 @@ from sdcs.experiments import (
     trial_seed,
 )
 from sdcs.measurement import Ensemble
-from sdcs.recovery import draw_instance, full_pipeline
+from sdcs.recovery import (
+    DegenerateDrawError,
+    MsqTrialResult,
+    draw_instance,
+    full_pipeline,
+    msq_trial,
+)
 from sdcs.rng import RngStream
 
 SMALL = SweepConfig(ensemble="gaussian", n=48, s=3, r=1, delta=0.05,
@@ -130,7 +135,7 @@ def test_csv_roundtrip(small_records):
     # a degenerate draw leaves a failed row: infinite error and bound, no
     # projection diagnostic
     failed = dataclasses.replace(small_records[-1], support_correct=False, err_l2=math.inf,
-                                 bound_eq3=math.inf, sigma_min_proj=math.nan, failed=True)
+                                 bound_eq3=math.inf, sigma_min_proj=math.nan)
     records = small_records + [failed]
     csv = sweep_records_to_csv(records)
     back = read_sweep_csv(csv)
@@ -147,6 +152,17 @@ def test_csv_roundtrip(small_records):
     assert back[-1].failed and not any(rec.failed for rec in back[:-1])
     with pytest.raises(ValueError, match="header"):
         read_sweep_csv("nope\n1,2\n")
+
+
+@pytest.mark.parametrize("cell", ["true", "2", "", "01", " 1"])
+def test_csv_support_correct_is_0_or_1(small_records, cell):
+    lines = sweep_records_to_csv(small_records).splitlines()
+    cells = lines[2].split(",")
+    cells[SWEEP_CSV_COLUMNS.index("support_correct")] = cell
+    bad = ",".join(cells)
+    with pytest.raises(ValueError, match="support_correct must be 0 or 1") as exc:
+        read_sweep_csv("\n".join(lines[:2] + [bad] + lines[3:]) + "\n")
+    assert bad in str(exc.value)  # names the row
 
 
 class TestSlopeFit:
@@ -244,6 +260,25 @@ def test_msq_baseline_runs_per_trial_seeds():
     assert [t.err_l2 for t in out] == [t.err_l2 for t in again]
 
 
+def test_msq_baseline_records_degenerate_draws_as_failed():
+    # With m = s = 2, two rademacher columns are often equal or opposite, and
+    # the recovered support submatrix is then singular.  As in the sweep, such
+    # a trial is recorded as failed and the baseline goes on.
+    cfg = SweepConfig("rademacher", 8, 2, 1, 0.1, 0.7, (2, 3), 10, 0)
+    out = run_msq_baseline(cfg, 2)
+    assert len(out) == cfg.trials
+    failed = 0
+    for trial, res in enumerate(out):
+        rng = RngStream(trial_seed(cfg.seed, 2, trial))
+        try:
+            want = msq_trial(Ensemble(cfg.ensemble), cfg.n, cfg.s, 2, cfg.r, cfg.delta, rng)
+        except DegenerateDrawError as exc:
+            assert str(exc) == "support submatrix is rank deficient"  # order 0: no weights
+            want, failed = MsqTrialResult(err_l2=math.inf, support_correct=False), failed + 1
+        assert res == want
+    assert failed > 0
+
+
 class TestConfigFile:
     TEXT = """\
 # decay sweep parameters
@@ -266,6 +301,10 @@ seed = 11
     def test_unknown_key(self):
         with pytest.raises(ValueError, match="unknown key"):
             parse_config_text("bogus = 1\n")
+
+    def test_repeated_key(self):
+        with pytest.raises(ValueError, match="line 3: key 'n' repeats line 1"):
+            parse_config_text("n = 16\ns = 2\nn = 32\n")
 
     def test_missing_equals(self):
         with pytest.raises(ValueError, match="key = value"):

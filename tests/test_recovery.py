@@ -497,6 +497,18 @@ def test_projection_dim():
         projection_dim(10, 2, 0.0)
 
 
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.integers(1, 10**6), st.integers(1, 10**6),
+       st.floats(0.0, 1.0, exclude_min=True))
+@example(49, 7, 1.0)
+@example(10**6 - 1, 10**6 - 2, 1.0 - 2**-53)
+def test_projection_dim_covers_the_support(a, b, alpha):
+    # (s/m)^alpha >= s/m, so ell >= s and the projected support submatrix
+    # full_pipeline takes the smallest singular value of has ell >= s rows
+    s, m = min(a, b), max(a, b)
+    assert s <= projection_dim(m, s, alpha) <= m
+
+
 class TestFullPipeline:
     def test_tiny_step_recovers_almost_exactly(self):
         # fixed instance, shrinking step: pin the amplitude floor at 0.05
