@@ -8,7 +8,7 @@ output.
 
 Feedback order is capped at 3 here, whether it comes from a flag or a
 sweep config file; error bounds degrade quickly with the order and the
-interesting regime is small r.  The library itself accepts any order.
+interesting regime is small r.
 """
 
 from __future__ import annotations
@@ -68,21 +68,11 @@ def _cmd_gen(args) -> int:
 
 
 def _read_vector(path: str) -> np.ndarray:
-    """Read a vector from a fixture file (one column/row) or a plain list."""
-    text = _read(path)
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    header = lines[0].split() if lines else []
-    is_fixture = (
-        len(header) == 2
-        and all(p.lstrip("+-").isdigit() for p in header)
-        and len(lines) - 1 == int(header[0])
-    )
-    if is_fixture:
-        mat = read_matrix_text(text)
-        if 1 not in mat.shape:
-            raise ValueError("fixture must have a single row or column to be a vector")
-        return mat.reshape(-1)
-    return np.array([float(tok) for ln in lines for tok in ln.split()])
+    """Read a vector from a matrix fixture file with one row or one column."""
+    mat = read_matrix_text(_read(path))
+    if 1 not in mat.shape:
+        raise ValueError("fixture must have a single row or column to be a vector")
+    return mat.reshape(-1)
 
 
 def _cmd_quantize(args) -> int:
@@ -105,7 +95,6 @@ def _cmd_reconstruct(args) -> int:
     rep = full_pipeline(
         Ensemble(args.ensemble), args.n, args.s, args.m, args.order,
         args.delta, args.alpha, RngStream(args.seed),
-        k_floor=args.k_floor, epsilon=args.epsilon,
     )
     support = ";".join(str(int(i)) for i in rep.recovered_support)
     values = ";".join(format_value(v) for v in rep.x_hat[rep.recovered_support])
@@ -213,10 +202,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--delta", type=float, required=True)
     p.add_argument("--alpha", type=float, required=True)
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--epsilon", type=float, default=None,
-                   help="override the denoising radius (default: worst-case noise)")
-    p.add_argument("--k-floor", type=float, default=1.0,
-                   help="amplitude floor multiplier")
     p.add_argument("--out", default="-")
     p.set_defaults(func=_cmd_reconstruct)
 

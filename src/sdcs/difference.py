@@ -18,9 +18,9 @@ many trials:
 The basis comes from block subspace iteration that applies the inverse
 power as r running sums, so no dense m x m matrix and no m x m SVD is
 formed for it.  It starts from the closed-form right singular vectors of
-the first inverse power, so at r = 1 it is exact after one step.  The full
-singular value profile (``singular_profile``) is the one dense SVD left;
-it is uncached.
+the first inverse power, so at r = 1 it is exact after one step.
+
+Both return their kept array itself, read-only, shared across callers.
 """
 
 from __future__ import annotations
@@ -109,11 +109,6 @@ def difference_power(m: int, r: int) -> np.ndarray:
     return inv
 
 
-def singular_profile(m: int, r: int) -> np.ndarray:
-    """Singular values of the r-th inverse difference power, non-increasing."""
-    return np.linalg.svd(inverse_difference_power(m, r), compute_uv=False)
-
-
 def _apply_power(x: np.ndarray, r: int) -> np.ndarray:
     """D^{-r} @ x as r running sums down the columns."""
     for _ in range(r):
@@ -189,9 +184,10 @@ def projected_basis(m: int, r: int, ell: int) -> np.ndarray:
 
     These are the directions paired with the ell largest singular values
     (the first ell rows of V^T, up to an orthogonal change of basis within
-    their span, which no caller's result depends on).
+    their span, which no caller's result depends on).  The returned array
+    is read-only; it is shared across callers.
     """
     _check_order(m, r)
     if not 1 <= ell <= m:
         raise ValueError(f"need 1 <= ell <= m, got ell={ell}, m={m}")
-    return _top_right_singular_rows(m, r, ell).copy()
+    return _top_right_singular_rows(m, r, ell)

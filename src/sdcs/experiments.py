@@ -4,12 +4,13 @@ A sweep runs recovery.full_pipeline over a grid of measurement counts with
 several trials per grid point, each trial on its own derived random
 substream, so results are reproducible and independent of execution order.
 The MSQ baseline runs recovery.msq_trial on the same seeds at one grid
-point.  Both record a degenerate draw as a failed trial (infinite error)
-and go on.  Aggregation reports per-m medians and quartiles over
-the support-correct trials, the support recovery rate, the fitted
-log-log decay slope of median error against the oversampling ratio
-lambda = m/s, and the worst observed ratio of error to the theoretical
-decay shape delta * (m/ell)^(1/2 - r).
+point.  The trial owns its failure rule: a degenerate draw comes back from
+recovery as a failed trial (infinite error and bound), which becomes a
+failed row here like any other outcome.  Aggregation reports per-m
+medians and quartiles over the support-correct trials, the support
+recovery rate, the fitted log-log decay slope of median error against the
+oversampling ratio lambda = m/s, and the worst observed ratio of error to
+the theoretical decay shape delta * (m/ell)^(1/2 - r).
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import numpy as np
 from .difference import check_exact_power
 from .linalg import format_value
 from .measurement import Ensemble
-from .recovery import DegenerateDrawError, MsqTrialResult, full_pipeline, msq_trial, projection_dim
+from .recovery import MsqTrialResult, full_pipeline, msq_trial
 from .rng import RngStream, derive_seed
 
 SWEEP_CSV_COLUMNS = (
@@ -104,38 +105,23 @@ def trial_seed(base_seed: int, m: int, trial: int) -> int:
 def run_decay_sweep(cfg: SweepConfig) -> list[SweepRecord]:
     """Run the pipeline over the m-grid; records come back in (m, trial) order.
 
-    A degenerate draw is recorded as a failed row (infinite error and
-    bound) rather than aborting the sweep.
+    A degenerate draw is a failed row (infinite error and bound), as
+    full_pipeline reports it.
     """
     ens = Ensemble(cfg.ensemble)
     records: list[SweepRecord] = []
     for m in cfg.m_grid:
         for trial in range(cfg.trials):
             seed = trial_seed(cfg.seed, m, trial)
-            base = dict(
-                ensemble=cfg.ensemble, n=cfg.n, s=cfg.s, m=m, r=cfg.r,
-                delta=cfg.delta, alpha=cfg.alpha, trial=trial, seed=seed,
-            )
-            try:
-                rep = full_pipeline(
-                    ens, cfg.n, cfg.s, m, cfg.r, cfg.delta, cfg.alpha,
-                    RngStream(seed),
-                )
-            except DegenerateDrawError:
-                records.append(SweepRecord(
-                    **base, ell=projection_dim(m, cfg.s, cfg.alpha),
-                    support_correct=False, err_l2=math.inf, bound_eq3=math.inf,
-                    sigma_min_proj=math.nan,
-                ))
-                continue
+            rep = full_pipeline(ens, cfg.n, cfg.s, m, cfg.r, cfg.delta, cfg.alpha,
+                                RngStream(seed))
             records.append(SweepRecord(
-                **base, ell=rep.ell, support_correct=rep.support_correct,
-                err_l2=rep.err_l2, bound_eq3=rep.err_bound,
-                sigma_min_proj=rep.sigma_min_proj,
-                bpdn_l1_slack=rep.bpdn_l1_slack,
-                bpdn_violation=rep.bpdn_violation,
-                bpdn_converged=rep.bpdn_converged,
-                support_tie_flag=rep.support_tie_flag,
+                ensemble=cfg.ensemble, n=cfg.n, s=cfg.s, m=m, r=cfg.r,
+                delta=cfg.delta, alpha=cfg.alpha, ell=rep.ell, trial=trial, seed=seed,
+                support_correct=rep.support_correct, err_l2=rep.err_l2,
+                bound_eq3=rep.err_bound, sigma_min_proj=rep.sigma_min_proj,
+                bpdn_l1_slack=rep.bpdn_l1_slack, bpdn_violation=rep.bpdn_violation,
+                bpdn_converged=rep.bpdn_converged, support_tie_flag=rep.support_tie_flag,
             ))
     return records
 
@@ -319,14 +305,9 @@ def run_msq_baseline(cfg: SweepConfig, m: int) -> list[MsqTrialResult]:
     """MSQ baseline over the same derived seeds as the sweep at grid point m;
     as in the sweep, a degenerate draw is a failed trial (infinite error)."""
     ens = Ensemble(cfg.ensemble)
-    out = []
-    for trial in range(cfg.trials):
-        rng = RngStream(trial_seed(cfg.seed, m, trial))
-        try:
-            out.append(msq_trial(ens, cfg.n, cfg.s, m, cfg.r, cfg.delta, rng))
-        except DegenerateDrawError:
-            out.append(MsqTrialResult(err_l2=math.inf, support_correct=False))
-    return out
+    return [msq_trial(ens, cfg.n, cfg.s, m, cfg.r, cfg.delta,
+                      RngStream(trial_seed(cfg.seed, m, trial)))
+            for trial in range(cfg.trials)]
 
 
 _CONFIG_FIELDS = {f.name for f in fields(SweepConfig)}

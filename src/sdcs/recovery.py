@@ -8,6 +8,10 @@ which is what makes feedback-quantization noise nearly invisible to it.
 
 Both trials share that recovery: full_pipeline at order r >= 1, and
 msq_trial, the round-each-entry baseline, at order 0 on the same instance.
+They share its failure rule too: a degenerate draw, whose recovered
+support submatrix is rank deficient, comes back as a failed trial
+(infinite error and bound, support not correct) rather than an exception,
+so a sweep, the baseline and a replay of one row all see the same outcome.
 """
 
 from __future__ import annotations
@@ -307,41 +311,45 @@ def draw_instance(
     r: int,
     delta: float,
     rng: RngStream,
-    k_floor: float,
 ) -> tuple[SparseSignal, np.ndarray]:
     """Sample the (signal, measurement matrix) pair for one trial.
 
-    The signal's amplitude floor is k_floor * 2^(r - 1/2) * delta, the
-    smallest magnitude for which support recovery is guaranteed in the
-    high-probability regime (k_floor is exposed because the sharp constant
-    is not known), and its magnitudes are capped at ten times the floor.
-    Uses fixed substream labels so that different quantization branches
-    can replay the identical instance from the same parent stream.
+    The signal's amplitude floor is 2^(r - 1/2) * delta, the smallest
+    magnitude for which support recovery is guaranteed in the
+    high-probability regime, and its magnitudes are capped at ten times
+    the floor.  Uses fixed substream labels so that different quantization
+    branches can replay the identical instance from the same parent stream.
     """
-    floor = k_floor * (2.0 ** (r - 0.5)) * delta
+    floor = (2.0 ** (r - 0.5)) * delta
     signal = sample_sparse_signal(n, s, floor, 10.0 * floor, rng.substream("signal"))
     phi = sample_matrix(ensemble, m, n, rng.substream("matrix"))
     return signal, phi
 
 
-def _recover(phi, x, s: int, cfg: QuantizerConfig, epsilon: float | None):
-    """Quantize phi @ x with cfg, locate the support by BPDN and reconstruct
-    on it with the order-cfg.r dual.
+def _recover(phi, signal: SparseSignal, cfg: QuantizerConfig):
+    """Quantize phi @ x with cfg, locate the support by BPDN with the
+    worst-case noise radius 2^(r-1) * delta * sqrt(m), and reconstruct on it
+    with the order-cfg.r dual.
 
-    The denoising radius defaults to the worst-case quantization noise
-    2^(r-1) * delta * sqrt(m).  Returns the BPDN result, the recovered
-    support, the reconstruction, its l2 error and the bound
-    delta*sqrt(m) / (2 sigma_min).
+    Returns the BPDN result, the recovered support, whether it is the
+    signal's, the reconstruction, its l2 error and the bound
+    delta*sqrt(m) / (2 sigma_min).  This is the one home of the failure
+    rule: a degenerate draw (the dual's support submatrix is rank
+    deficient, DegenerateDrawError) is a failed trial, with the support
+    not correct, the reconstruction nan and the error and bound infinite.
     """
     m = phi.shape[0]
+    x = signal.to_dense()
     quant = sigma_delta_quantize(phi @ x, cfg)
-    eps = quantization_noise_bound(m, cfg) if epsilon is None else epsilon
-    result = bpdn_solve(phi, quant.q, eps)
-    t_hat = support_from(result.x, s)
-    x_hat, smin = sobolev_reconstruct(phi, t_hat, quant.q, cfg.r)
+    result = bpdn_solve(phi, quant.q, quantization_noise_bound(m, cfg))
+    t_hat = support_from(result.x, signal.support.size)
+    try:
+        x_hat, smin = sobolev_reconstruct(phi, t_hat, quant.q, cfg.r)
+    except DegenerateDrawError:
+        return result, t_hat, False, np.full(x.size, math.nan), math.inf, math.inf
+    correct = bool(np.array_equal(t_hat, signal.support))
     err = float(np.linalg.norm(x - x_hat))
-    bound = cfg.delta * math.sqrt(m) / (2.0 * smin)
-    return result, t_hat, x_hat, err, bound
+    return result, t_hat, correct, x_hat, err, cfg.delta * math.sqrt(m) / (2.0 * smin)
 
 
 def full_pipeline(
@@ -353,47 +361,47 @@ def full_pipeline(
     delta: float,
     alpha: float,
     rng: RngStream,
-    *,
-    k_floor: float = 1.0,
-    epsilon: float | None = None,
 ) -> RecoveryReport:
     """Measure, quantize, recover, and evaluate one random instance.
 
-    The instance comes from draw_instance (amplitude floor k_floor *
-    2^(r - 1/2) * delta).  The denoising radius defaults to the worst-case
-    quantization noise 2^(r-1) * delta * sqrt(m).  The order r is at least 1,
-    and (m, r) must keep the inverse difference power exact
+    The instance comes from draw_instance (amplitude floor
+    2^(r - 1/2) * delta), and the denoising radius is the worst-case
+    quantization noise 2^(r-1) * delta * sqrt(m).  The order r is at least
+    1, and (m, r) must keep the inverse difference power exact
     (check_exact_power).
 
     Reports reconstruction error, the deterministic error bound for the
     recovered support, and the smallest singular value of the scaled
     ell-row projection of the support submatrix, with
-    ell = ceil(m * (s/m)^alpha).
+    ell = ceil(m * (s/m)^alpha).  A degenerate draw returns a failed
+    report (see _recover) with the projection diagnostic nan and the BPDN
+    diagnostics of the draw.
     """
     if m < s:
         raise ValueError("need m >= s")
     if r < 1:
         raise ValueError("r must be >= 1")
     check_exact_power(m, r)
-    cfg = QuantizerConfig(r=r, delta=delta)
-    signal, phi = draw_instance(ensemble, n, s, m, r, delta, rng, k_floor)
-    x = signal.to_dense()
-    result, t_hat, x_hat, err, bound = _recover(phi, x, s, cfg, epsilon)
+    signal, phi = draw_instance(ensemble, n, s, m, r, delta, rng)
+    result, t_hat, correct, x_hat, err, bound = _recover(
+        phi, signal, QuantizerConfig(r=r, delta=delta))
     mags = np.sort(np.abs(result.x))[::-1]
-    tie = bool(x.size > s and mags[s - 1] - mags[s] < 1e-9)
+    tie = bool(n > s and mags[s - 1] - mags[s] < 1e-9)
 
     ell = projection_dim(m, s, alpha)  # >= s, since (s/m)^alpha >= s/m
-    proj_sub = projected_matrix(phi[:, t_hat], r, ell)
-    smin_proj = float(np.linalg.svd(proj_sub, compute_uv=False)[-1])
+    smin_proj = math.nan
+    if err < math.inf:
+        proj_sub = projected_matrix(phi[:, t_hat], r, ell)
+        smin_proj = float(np.linalg.svd(proj_sub, compute_uv=False)[-1])
 
-    l1_slack = float(np.sum(np.abs(result.x)) - np.sum(np.abs(x)))
+    l1_slack = float(np.sum(np.abs(result.x)) - np.sum(np.abs(signal.to_dense())))
     return RecoveryReport(
         recovered_support=t_hat,
         x_hat=x_hat,
         err_l2=err,
         err_bound=bound,
         sigma_min_proj=smin_proj,
-        support_correct=bool(np.array_equal(t_hat, signal.support)),
+        support_correct=correct,
         ell=ell,
         support_tie_flag=tie,
         bpdn_converged=result.converged,
@@ -418,10 +426,9 @@ def msq_trial(ensemble: Ensemble, n: int, s: int, m: int, r: int, delta: float,
     entry rounded on its own, the noise radius delta*sqrt(m)/2, and the
     order-0 dual, which is least squares on the recovered support.  The r
     argument only fixes the amplitude floor so instances match the
-    feedback-quantizer runs.  A rank-deficient support submatrix raises
-    DegenerateDrawError, as in full_pipeline.
+    feedback-quantizer runs.  A degenerate draw is a failed trial, as in
+    full_pipeline: infinite error, support not correct.
     """
-    signal, phi = draw_instance(ensemble, n, s, m, r, delta, rng, 1.0)
-    msq = QuantizerConfig(r=0, delta=delta)
-    _, t_hat, _, err, _ = _recover(phi, signal.to_dense(), s, msq, None)
-    return MsqTrialResult(err_l2=err, support_correct=bool(np.array_equal(t_hat, signal.support)))
+    signal, phi = draw_instance(ensemble, n, s, m, r, delta, rng)
+    _, _, correct, _, err, _ = _recover(phi, signal, QuantizerConfig(r=0, delta=delta))
+    return MsqTrialResult(err_l2=err, support_correct=correct)

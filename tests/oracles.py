@@ -5,6 +5,8 @@ from itertools import combinations
 
 import numpy as np
 
+from sdcs.difference import inverse_difference_power
+
 U = float(np.finfo(np.float64).eps) / 2  # unit roundoff
 
 
@@ -18,6 +20,12 @@ def difference_matrix(m: int) -> np.ndarray:
     if m < 1:
         raise ValueError("m must be >= 1")
     return np.eye(m) - np.eye(m, k=-1)
+
+
+def singular_profile(m: int, r: int) -> np.ndarray:
+    """Singular values of the r-th inverse difference power, non-increasing,
+    from one dense SVD."""
+    return np.linalg.svd(inverse_difference_power(m, r), compute_uv=False)
 
 
 def round_half_away(t: float) -> int:

@@ -12,9 +12,9 @@ import math
 import numpy as np
 import pytest
 
-from oracles import difference_matrix
+from oracles import difference_matrix, singular_profile
 from sdcs.cli import main as cli_main
-from sdcs.difference import inverse_difference_power, singular_profile
+from sdcs.difference import inverse_difference_power
 from sdcs.experiments import (
     SweepConfig,
     run_decay_sweep,
@@ -244,7 +244,7 @@ def test_criterion_8_rotation_invariance_and_small_ball():
 
 def test_criterion_9_cli_determinism(tmp_path):
     y_file = tmp_path / "y.txt"
-    y_file.write_text("0.37 -1.42 0.88 2.05 -0.11\n")
+    y_file.write_text("1 5\n0.37 -1.42 0.88 2.05 -0.11\n")  # one-row fixture
     cfg = tmp_path / "sweep.cfg"
     cfg.write_text(
         "ensemble = gaussian\nn = 48\ns = 3\nr = 2\ndelta = 0.02\n"

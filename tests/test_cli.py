@@ -54,24 +54,32 @@ def test_gen_deterministic_bytes(tmp_path):
 
 
 def test_quantize_fixture_and_plain_inputs(tmp_path):
-    y = np.array([0.4, 0.4, 0.4])
+    # the input is the matrix fixture format, one column or one row; a
+    # column fixture whose values could pass for a plain list reads as the
+    # fixture, and a plain list is rejected
     fixture = tmp_path / "y_fixture.txt"
-    fixture.write_text("3 1\n0.4\n0.4\n0.4\n")
-    plain = tmp_path / "y_plain.txt"
-    plain.write_text("0.4 0.4 0.4\n")
-    out1, out2 = tmp_path / "q1.csv", tmp_path / "q2.csv"
+    fixture.write_text("3 1\n4\n1\n5\n")
+    out = tmp_path / "q.csv"
     run_cli(["quantize", "--order", "1", "--delta", "1.0",
-             "--input", str(fixture), "--out", str(out1)])
-    run_cli(["quantize", "--order", "1", "--delta", "1.0",
-             "--input", str(plain), "--out", str(out2)])
-    assert read_bytes(out1) == read_bytes(out2)
-    lines = out1.read_text().splitlines()
+             "--input", str(fixture), "--out", str(out)])
+    lines = out.read_text().splitlines()
     assert lines[0] == "q,u"
-    want = sigma_delta_quantize(y, QuantizerConfig(r=1, delta=1.0))
+    want = sigma_delta_quantize(np.array([4.0, 1.0, 5.0]), QuantizerConfig(r=1, delta=1.0))
     got_q = [float(ln.split(",")[0]) for ln in lines[1:]]
     got_u = [float(ln.split(",")[1]) for ln in lines[1:]]
-    assert np.allclose(got_q, want.q, atol=0)
-    assert np.allclose(got_u, want.u, atol=0)
+    assert np.array_equal(got_q, want.q)
+    assert np.array_equal(got_u, want.u)
+    row = tmp_path / "y_row.txt"
+    row.write_text("1 3\n4 1 5\n")
+    out_row = tmp_path / "q_row.csv"
+    run_cli(["quantize", "--order", "1", "--delta", "1.0",
+             "--input", str(row), "--out", str(out_row)])
+    assert read_bytes(out_row) == read_bytes(out)
+    plain = tmp_path / "y_plain.txt"
+    plain.write_text("0.4 0.4 0.4\n")
+    assert usage_error(["quantize", "--order", "1", "--delta", "1.0",
+                        "--input", str(plain)]) == (
+        "sdcs quantize: error: fixture header must be 'rows cols'")
 
 
 def test_quantize_rejects_order_above_cap(capsys):
@@ -152,21 +160,28 @@ def test_sweep_config_file_and_overrides(tmp_path):
     assert len(read_sweep_csv(out3.read_text())) == 2
 
 
-@pytest.mark.parametrize("ensemble, order", [
-    ("gaussian", 1), ("rademacher", 2), ("column-model", 3),
+@pytest.mark.parametrize("ensemble, order, delta, grid, trials, seed, failed", [
+    pytest.param("gaussian", 1, "0.02", "60,120", 2, 5, 0, id="gaussian-1"),
+    pytest.param("rademacher", 2, "0.02", "60,120", 2, 5, 0, id="rademacher-2"),
+    pytest.param("column-model", 3, "0.02", "60,120", 2, 5, 0, id="column-model-3"),
+    # trial 12 at m = 6 is a degenerate draw: a failed row (inf error and bound)
+    pytest.param("rademacher", 1, "0.01", "6", 20, 23, 1, id="rademacher-1-degenerate"),
 ])
-def test_every_sweep_row_replays_with_reconstruct(tmp_path, ensemble, order):
+def test_every_sweep_row_replays_with_reconstruct(tmp_path, ensemble, order, delta, grid,
+                                                  trials, seed, failed):
     # A sweep row and `sdcs reconstruct --seed <row seed>` share every column
-    # but trial; the row's cells must come back byte for byte.
+    # but trial; the row's cells must come back byte for byte, failed or not.
     common = ["--ensemble", ensemble, "--n", "64", "--s", "3", "--order", str(order),
-              "--delta", "0.02", "--alpha", "0.7"]
+              "--delta", delta, "--alpha", "0.7"]
     sweep = tmp_path / "sweep.csv"
-    run_cli(["sweep", *common, "--m-grid", "60,120", "--trials", "2", "--seed", "5",
+    run_cli(["sweep", *common, "--m-grid", grid, "--trials", str(trials), "--seed", str(seed),
              "--out", str(sweep)])
     header, *rows = sweep.read_text().splitlines()
-    assert len(rows) == 4
+    assert len(rows) == trials * len(grid.split(","))
+    seen_failed = 0
     for row in rows:
         cells = dict(zip(header.split(","), row.split(",")))
+        seen_failed += cells["err_l2"] == "inf"
         out = tmp_path / f"rep-{cells['seed']}.csv"
         run_cli(["reconstruct", *common, "--m", cells["m"], "--seed", cells["seed"],
                  "--out", str(out)])
@@ -175,6 +190,7 @@ def test_every_sweep_row_replays_with_reconstruct(tmp_path, ensemble, order):
         shared = [c for c in header.split(",") if c in replay]
         assert len(shared) == 13
         assert [replay[c] for c in shared] == [cells[c] for c in shared]
+    assert seen_failed == failed
 
 
 def usage_error(args):

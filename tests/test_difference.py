@@ -5,13 +5,8 @@ import numpy as np
 import pytest
 
 import sdcs.difference as difference
-from oracles import difference_matrix
-from sdcs.difference import (
-    difference_power,
-    inverse_difference_power,
-    projected_basis,
-    singular_profile,
-)
+from oracles import difference_matrix, singular_profile
+from sdcs.difference import difference_power, inverse_difference_power, projected_basis
 from sdcs.rng import RngStream
 
 GOLDEN = (1.0 + math.sqrt(5.0)) / 2.0
@@ -188,10 +183,12 @@ def test_projected_basis_spans_dense_top_right_singular_vectors(r, m):
 
 
 def test_projected_basis_repeatable_bytes():
+    # a repeat call hands back the cached rows themselves, read-only
     first = projected_basis(300, 1, 17)
-    again = projected_basis(300, 1, 17)
-    assert first is not again
-    assert first.tobytes() == again.tobytes()
+    assert projected_basis(300, 1, 17) is first
+    assert not first.flags.writeable
+    with pytest.raises(ValueError):
+        first[0, 0] = 0.0
     difference._top_right_singular_rows.cache_clear()
     assert projected_basis(300, 1, 17).tobytes() == first.tobytes()
 

@@ -451,7 +451,7 @@ def test_err_l2_is_the_forward_error_within_its_rounding(r, m, base, trial):
     seed = trial_seed(base, m, trial)
     rep = full_pipeline(GAUSS, n, s, m, r, delta, alpha, RngStream(seed))
     assume(rep.support_correct)
-    sig, phi = draw_instance(GAUSS, n, s, m, r, delta, RngStream(seed), 1.0)
+    sig, phi = draw_instance(GAUSS, n, s, m, r, delta, RngStream(seed))
     phi_t, x_t = phi[:, sig.support], sig.values
     quant = sigma_delta_quantize(phi @ sig.to_dense(), QuantizerConfig(r=r, delta=delta))
     q, u = quant.q, quant.u
@@ -511,14 +511,14 @@ def test_projection_dim_covers_the_support(a, b, alpha):
 
 class TestFullPipeline:
     def test_tiny_step_recovers_almost_exactly(self):
-        # fixed instance, shrinking step: pin the amplitude floor at 0.05
+        # fixed instance, shrinking step: keep the amplitude floor at 0.05
         # while delta drops to 1e-8, so only the quantization noise vanishes
-        r, delta = 2, 1e-8
-        k_floor = 0.05 / (2.0 ** (r - 0.5) * delta)
-        rep = full_pipeline(GAUSS, 64, 3, 60, r, delta, 0.7, RngStream(101),
-                            k_floor=k_floor)
-        assert rep.support_correct
-        assert rep.err_l2 < 1e-5
+        rng = RngStream(101)
+        signal = sample_sparse_signal(64, 3, 0.05, 0.5, rng.substream("signal"))
+        phi = sample_matrix(GAUSS, 60, 64, rng.substream("matrix"))
+        _, _, correct, _, err, _ = recovery._recover(phi, signal, QuantizerConfig(r=2, delta=1e-8))
+        assert correct
+        assert err < 1e-5
 
     def test_deterministic_reports(self):
         a = full_pipeline(GAUSS, 64, 3, 60, 2, 0.02, 0.7, RngStream(55))
@@ -544,12 +544,20 @@ class TestFullPipeline:
         assert rep.ell == projection_dim(60, 3, 0.7)
         assert rep.err_l2 >= 0.0
 
-    def test_epsilon_override(self):
-        rep = full_pipeline(
-            GAUSS, 64, 3, 60, 1, 0.02, 0.7, RngStream(67),
-            epsilon=quantization_noise_bound(60, QuantizerConfig(r=1, delta=0.02)) * 2.0,
-        )
-        assert rep.err_l2 >= 0.0
+    def test_degenerate_draw_is_a_failed_report(self):
+        # a rank-deficient dual at m = 6 (a sweep row of rademacher, n = 64,
+        # s = 3, r = 1, delta = 0.01, alpha = 0.7, seed 23) is a failed
+        # trial, not an exception, and still explains its BPDN stage
+        rep = full_pipeline(Ensemble("rademacher"), 64, 3, 6, 1, 0.01, 0.7,
+                            RngStream(8909886255910892158))
+        assert rep.err_l2 == math.inf and rep.err_bound == math.inf
+        assert not rep.support_correct
+        assert math.isnan(rep.sigma_min_proj)
+        assert np.all(np.isnan(rep.x_hat)) and rep.x_hat.size == 64
+        assert rep.recovered_support.size == 3
+        assert rep.ell == projection_dim(6, 3, 0.7)
+        assert rep.bpdn_converged and rep.bpdn_iterations == 2
+        assert rep.support_tie_flag
 
     def test_one_svd_of_the_shaped_support_matrix(self, monkeypatch):
         # per call, after BPDN: one SVD of Dinv_r @ phi_T (reconstruction and
