@@ -5,7 +5,7 @@ two-stage sparse recovery with a noise-shaping dual, restricted isometry
 diagnostics, and a reproducible sweep harness.
 """
 
-from .difference import difference_power, inverse_difference_power, projected_basis
+from .difference import difference_power, projected_basis
 from .experiments import (
     SweepConfig,
     SweepRecord,

@@ -1,22 +1,25 @@
 """Finite difference operators and their inverse powers.
 
 The first-order difference matrix is bidiagonal (+1 diagonal, -1 first
-subdiagonal); its inverse is the running-sum operator.  Inverse powers
-have an exact integer-valued closed form: entry (i, j) of the r-th
-inverse power is binomial(i - j + r - 1, r - 1) for i >= j.
+subdiagonal); its inverse is the running-sum operator, and the r-th
+inverse power D^{-r} is applied as r running sums.  Entry (i, j) of D^{-r}
+is binomial(i - j + r - 1, r - 1) for i >= j, an integer.
 
 Two small bounded caches serve the sweeps, which reuse one (m, r) across
 many trials:
 
-- ``difference_power(m, r)`` keeps the dense r-th inverse power of the last
-  (m, r) only, m*m doubles (32 MB at m=2000), for the noise-shaping
-  reconstruction, and releases it before building another;
+- ``difference_power(m, r)`` keeps the dense D^{-r} of the last (m, r)
+  only, m*m doubles (32 MB at m=2000), for the noise-shaping
+  reconstruction, and releases it before building another.  It fills the
+  matrix from its first column, D^{-r} e_0 taken as r running sums, which
+  is exact while every entry stays at or below 2^53; past that it raises
+  (check_exact_power);
 - ``projected_basis(m, r, ell)`` holds the top-ell right singular vectors
   of that power in an LRU cache, ell*m doubles per key (0.5 MB at m=2000,
   ell=31).
 
-The basis comes from block subspace iteration that applies the inverse
-power as r running sums, so no dense m x m matrix and no m x m SVD is
+The basis comes from block subspace iteration that applies D^{-r} and its
+transpose as r running sums, so no dense m x m matrix and no m x m SVD is
 formed for it.  It starts from the closed-form right singular vectors of
 the first inverse power, so at r = 1 it is exact after one step.
 
@@ -70,24 +73,6 @@ def check_exact_power(m: int, r: int) -> None:
         )
 
 
-def inverse_difference_power(m: int, r: int) -> np.ndarray:
-    """r-th power of the inverse difference operator, exactly integer-valued.
-
-    Raises ValueError where an entry would exceed 2^53 (check_exact_power).
-    """
-    _check_order(m, r)
-    check_exact_power(m, r)
-    # First column via the integer binomial recurrence c[k] = c[k-1]*(k+r-1)/k.
-    col = [1] * m
-    for k in range(1, m):
-        col[k] = col[k - 1] * (k + r - 1) // k
-    colarr = np.array(col, dtype=np.float64)
-    # Toeplitz fill: row i is c_i, ..., c_0 followed by zeros, the reverse
-    # of the length-m window of [0, ..., 0, c_0, ..., c_{m-1}] starting at i.
-    padded = np.concatenate([np.zeros(m - 1), colarr])
-    return sliding_window_view(padded, m)[:, ::-1].copy()
-
-
 # difference_power's one kept entry, (m, r) -> dense power, or empty.
 _power_slot: dict[tuple[int, int], np.ndarray] = {}
 
@@ -96,14 +81,26 @@ def difference_power(m: int, r: int) -> np.ndarray:
     """Dense r-th inverse difference power for dimension m, kept for the
     last (m, r) asked for.
 
+    The power is lower-triangular Toeplitz, so it is filled from its first
+    column, D^{-r} e_0, taken as r running sums.  Every partial sum is an
+    integer no larger than the largest entry, so the fill is exact where
+    check_exact_power passes; it raises ValueError elsewhere.
+
     A sweep visits one (m, r) at a time, so one slot serves it.  The kept
     array is dropped before a new one is built, so the module never holds
     two.  The returned array is read-only; it is shared across callers.
     """
     if (m, r) in _power_slot:
         return _power_slot[m, r]
+    _check_order(m, r)
+    check_exact_power(m, r)
     _power_slot.clear()
-    inv = inverse_difference_power(m, r)
+    unit = np.zeros(m)
+    unit[0] = 1.0
+    # With c the first column, row i is c_i, ..., c_0 followed by zeros, the
+    # reverse of the length-m window of [0, ..., 0, c_0, ..., c_{m-1}] at i.
+    padded = np.concatenate([np.zeros(m - 1), _apply_power(unit, r)])
+    inv = sliding_window_view(padded, m)[:, ::-1].copy()
     inv.setflags(write=False)
     _power_slot[m, r] = inv
     return inv
@@ -114,14 +111,6 @@ def _apply_power(x: np.ndarray, r: int) -> np.ndarray:
     for _ in range(r):
         x = np.cumsum(x, axis=0)
     return x
-
-
-def _apply_power_t(x: np.ndarray, r: int) -> np.ndarray:
-    """D^{-rT} @ x as r running sums up the columns."""
-    x = x[::-1]
-    for _ in range(r):
-        x = np.cumsum(x, axis=0)
-    return x[::-1]
 
 
 @lru_cache(maxsize=_BASIS_CACHE_SIZE)
@@ -168,7 +157,8 @@ def _top_right_singular_rows(m: int, r: int, ell: int) -> np.ndarray:
             if np.linalg.eigvalsh(resid.T @ resid)[-1] <= tol * tol:
                 break
         prev = ritz
-        q, _ = np.linalg.qr(_apply_power_t(u, r))
+        # D^{-rT} is D^{-r} with rows and columns reversed
+        q, _ = np.linalg.qr(_apply_power(u[::-1], r)[::-1])
     else:
         raise RuntimeError(
             f"projection basis for m={m}, r={r}, ell={ell} did not converge "

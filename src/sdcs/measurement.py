@@ -68,10 +68,6 @@ class SparseSignal:
         if np.min(np.abs(self.values)) < self.amplitude_floor:
             raise ValueError("values violate the amplitude floor")
 
-    @property
-    def s(self) -> int:
-        return int(self.support.size)
-
     def to_dense(self) -> np.ndarray:
         x = np.zeros(self.n)
         x[self.support] = self.values

@@ -4,7 +4,14 @@ A stream keyed by a 64-bit integer produces draw number i as
 ``mix64(key + (i + 1) * GAMMA)`` where ``mix64`` is the SplitMix64
 finalizer.  Every output is a pure function of (key, position), so bulk
 generation vectorizes over positions and two runs with the same seed give
-bitwise-identical sequences regardless of chunking or platform.
+the same sequences regardless of chunking.  The integer draws (uint64s,
+randbelow, choose_indices, choose_index_rows), uniforms and rademacher use
+only integer and power-of-two arithmetic, so they are bitwise identical on
+every platform.  normals goes through numpy's elementwise log and cos,
+whose last bits depend on the math library (libm, or numpy's SIMD kernels
+for the CPU); it, and everything computed from it through BLAS, is
+bitwise reproducible only with the same math library and the same BLAS
+thread count.
 
 Substreams are derived by hashing a label into a fresh key, which gives
 independent streams for e.g. per-trial parallelism without coordination.

@@ -5,8 +5,6 @@ from itertools import combinations
 
 import numpy as np
 
-from sdcs.difference import inverse_difference_power
-
 U = float(np.finfo(np.float64).eps) / 2  # unit roundoff
 
 
@@ -20,6 +18,18 @@ def difference_matrix(m: int) -> np.ndarray:
     if m < 1:
         raise ValueError("m must be >= 1")
     return np.eye(m) - np.eye(m, k=-1)
+
+
+def inverse_difference_power(m: int, r: int) -> np.ndarray:
+    """r-th power of the inverse difference operator from its closed form:
+    entry (i, j) is the binomial C(i - j + r - 1, r - 1) for i >= j, taken
+    in Python integers and rounded once to double.  Raises ValueError where
+    an entry exceeds 2^53, so every entry returned is exact."""
+    col = [math.comb(k + r - 1, r - 1) for k in range(m)]
+    if col[-1] > 2**53:
+        raise ValueError(f"C({m + r - 2}, {r - 1}) = {col[-1]:.3g} exceeds 2^53")
+    lag = np.subtract.outer(np.arange(m), np.arange(m))
+    return np.where(lag >= 0, np.array(col, dtype=np.float64)[np.maximum(lag, 0)], 0.0)
 
 
 def singular_profile(m: int, r: int) -> np.ndarray:

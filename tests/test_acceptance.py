@@ -12,9 +12,8 @@ import math
 import numpy as np
 import pytest
 
-from oracles import difference_matrix, singular_profile
+from oracles import difference_matrix, inverse_difference_power, singular_profile
 from sdcs.cli import main as cli_main
-from sdcs.difference import inverse_difference_power
 from sdcs.experiments import (
     SweepConfig,
     run_decay_sweep,

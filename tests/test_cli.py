@@ -7,7 +7,7 @@ import pytest
 
 from sdcs.cli import main
 from sdcs.experiments import read_sweep_csv
-from sdcs.linalg import read_matrix_text
+from sdcs.linalg import format_value, read_matrix_text
 from sdcs.measurement import Ensemble, sample_matrix
 from sdcs.quantizer import QuantizerConfig, sigma_delta_quantize
 from sdcs.rip import projected_matrix, ric_exact
@@ -42,6 +42,19 @@ def test_gen_signal_respects_floor(tmp_path):
     nz = x[x != 0.0]
     assert nz.size == 4
     assert np.min(np.abs(nz)) >= 0.5
+
+
+def test_gen_signal_default_cap_is_ten_floors(tmp_path):
+    floor = 0.3
+    default, explicit = tmp_path / "default.txt", tmp_path / "explicit.txt"
+    args = ["gen", "--kind", "signal", "--n", "40", "--s", "6", "--floor", str(floor),
+            "--seed", "17"]
+    run_cli(args + ["--out", str(default)])
+    run_cli(args + ["--cap", repr(10.0 * floor), "--out", str(explicit)])
+    assert read_bytes(default) == read_bytes(explicit)
+    half = tmp_path / "half.txt"
+    run_cli(args + ["--cap", repr(5.0 * floor), "--out", str(half)])
+    assert read_bytes(half) != read_bytes(default)
 
 
 def test_gen_deterministic_bytes(tmp_path):
@@ -123,6 +136,19 @@ def test_ripscan_exact_matches_library(tmp_path):
     want = ric_exact(phi / np.sqrt(30), 2)
     assert (int(s), mode, int(checked)) == (2, "exact", 28)
     assert float(value) == pytest.approx(want.value, abs=0.0)
+
+
+def test_ripscan_scale_scans_the_scaled_fixture(tmp_path):
+    # --scale multiplies the matrix as read from the fixture, before the scan
+    fixture = tmp_path / "phi.txt"
+    run_cli(["gen", "--kind", "matrix", "--m", "20", "--n", "9", "--seed", "6",
+             "--out", str(fixture)])
+    out = tmp_path / "rip.csv"
+    run_cli(["ripscan", "--mode", "exact", "--s", "3", "--input", str(fixture),
+             "--scale", "0.1118", "--out", str(out)])
+    est = ric_exact(read_matrix_text(fixture.read_text()) * 0.1118, 3)
+    want = f"s,mode,value,supports_checked\n3,exact,{format_value(est.value)},84\n"
+    assert read_bytes(out) == want.encode()
 
 
 def test_ripscan_projection_and_mc(tmp_path):

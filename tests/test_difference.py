@@ -3,10 +3,12 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import sdcs.difference as difference
-from oracles import difference_matrix, singular_profile
-from sdcs.difference import difference_power, inverse_difference_power, projected_basis
+from oracles import difference_matrix, inverse_difference_power, singular_profile
+from sdcs.difference import check_exact_power, difference_power, projected_basis
 from sdcs.rng import RngStream
 
 GOLDEN = (1.0 + math.sqrt(5.0)) / 2.0
@@ -31,25 +33,50 @@ def test_inverse_power_binomial_entries():
         for r in (1, 2, 3, 4):
             want = np.array([[math.comb(i - j + r - 1, r - 1) if i >= j else 0
                               for j in range(m)] for i in range(m)], dtype=np.float64)
-            inv = inverse_difference_power(m, r)
-            assert inv.flags.c_contiguous
-            assert inv.tobytes() == want.tobytes()
+            for inv in (inverse_difference_power(m, r), difference_power(m, r)):
+                assert inv.tobytes() == want.tobytes()
+            assert difference_power(m, r).flags.c_contiguous
+
+
+def largest_exact_m(r):
+    """Largest m that check_exact_power accepts at order r, capped at 400."""
+    m = 400
+    while math.comb(m + r - 2, r - 1) > 2**53:
+        m -= 1
+    return m
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(st.integers(1, 15).flatmap(
+    lambda r: st.tuples(st.integers(1, largest_exact_m(r)), st.just(r))))
+@example((368, 9))
+@example((76, 15))
+def test_difference_power_is_the_binomial_oracle(mr):
+    # the running-sum fill is exact inside the 2^53 envelope, at its edges too
+    m, r = mr
+    check_exact_power(m, r)
+    assert np.array_equal(difference_power(m, r), inverse_difference_power(m, r))
 
 
 def test_inverse_power_entries_stay_exact_doubles():
     # largest entry C(m + r - 2, r - 1): 7.3e13 at (200, 9), 6.4e21 at (2000, 9)
-    inv = inverse_difference_power(200, 9)
+    inv = difference_power(200, 9)
     assert inv[:, 0].tolist() == [float(math.comb(k + 8, 8)) for k in range(200)]
     with pytest.raises(ValueError, match=r"C\(2007, 8\) = 6.44e\+21, exceeds 2\^53"):
-        inverse_difference_power(2000, 9)
-    with pytest.raises(ValueError, match="2\\^53"):
         difference_power(2000, 9)
+    # the envelope's edges at r = 9 and r = 15
+    for m, r in ((369, 9), (77, 15)):
+        with pytest.raises(ValueError, match="2\\^53"):
+            difference_power(m, r)
+        with pytest.raises(ValueError, match="2\\^53"):
+            inverse_difference_power(m, r)
 
 
 def test_inverse_power_builds_without_index_arrays():
+    difference._power_slot.clear()
     tracemalloc.start()
     try:
-        inv = inverse_difference_power(1000, 3)
+        inv = difference_power(1000, 3)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

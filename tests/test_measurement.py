@@ -184,7 +184,6 @@ def test_sample_matrix_validates_dims():
 def test_sparse_signal_construction():
     rng = RngStream(21)
     sig = sample_sparse_signal(50, 6, 0.5, 5.0, rng)
-    assert sig.s == 6
     assert sig.support.size == 6
     assert np.all(np.diff(sig.support) > 0)
     assert np.min(np.abs(sig.values)) >= 0.5

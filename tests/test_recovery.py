@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 
 import sdcs.difference as difference
 import sdcs.recovery as recovery
-from oracles import difference_matrix, gamma
-from sdcs.difference import difference_power, inverse_difference_power, projected_basis
+from oracles import difference_matrix, gamma, inverse_difference_power
+from sdcs.difference import difference_power, projected_basis
 from sdcs.experiments import trial_seed
 from sdcs.measurement import Ensemble, sample_matrix, sample_sparse_signal
 from sdcs.quantizer import QuantizerConfig, quantization_noise_bound, sigma_delta_quantize
