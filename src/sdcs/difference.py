@@ -18,10 +18,12 @@ many trials:
   of that power in an LRU cache, ell*m doubles per key (0.5 MB at m=2000,
   ell=31).
 
-The basis comes from block subspace iteration that applies D^{-r} and its
-transpose as r running sums, so no dense m x m matrix and no m x m SVD is
-formed for it.  It starts from the closed-form right singular vectors of
-the first inverse power, so at r = 1 it is exact after one step.
+At r = 1 the basis is the closed-form right singular vectors of D^{-1}.
+At higher orders it comes from Golub-Kahan-Lanczos bidiagonalization,
+which applies D^{-r} and its transpose as r running sums and keeps O(k m)
+doubles for its k steps, so no dense m x m matrix and no m x m SVD is
+formed for it.  Only where 2 ell + 8 >= m, a basis of about half the
+space or more, is it one dense SVD.
 
 Both return their kept array itself, read-only, shared across callers.
 """
@@ -37,13 +39,11 @@ from numpy.lib.stride_tricks import sliding_window_view
 # Keys the basis cache keeps.
 _BASIS_CACHE_SIZE = 8
 
-# Subspace iteration: stop once the sine of the largest principal angle
-# between successive top-ell Ritz bases is at most _BASIS_TOL, or at most
-# _BASIS_FLOOR * eps * sigma_1 / sigma_ell where rounding sets a higher
-# floor; raise at the cap.
+# Lanczos stop: the bound on the sine of the largest principal angle to the
+# exact top-ell subspace is at most _BASIS_TOL, or at most
+# _BASIS_FLOOR * eps * sigma_1 / sigma_ell where rounding sets a higher floor.
 _BASIS_TOL = 1e-12
 _BASIS_FLOOR = 16.0
-_BASIS_MAX_ITERS = 100
 _EPS = float(np.finfo(np.float64).eps)
 # Every integer up to this is an exact double.
 _EXACT_INT = 2**53
@@ -113,60 +113,135 @@ def _apply_power(x: np.ndarray, r: int) -> np.ndarray:
     return x
 
 
+def _order_one_rows(m: int, ell: int) -> np.ndarray:
+    """The top-ell right singular vectors of D^{-1}, as rows, in closed form.
+
+    They are the eigenvectors cos(theta_j (k + 1/2)), theta_j =
+    (2j - 1) pi / (2m + 1), j = 1, ..., ell, of D D^T, the second-difference
+    matrix with a 1 in its (0, 0) entry (the DCT family; Strang, SIAM
+    Review 1999).  Their eigenvalues 4 sin^2(theta_j / 2) increase with j,
+    so the singular values of D^{-1} fall, and each has squared norm
+    (2m + 1) / 4.
+    """
+    # theta_j (k + 1/2) = (2j - 1)(2k + 1) pi / (4m + 2), reduced modulo 2 pi
+    # in integers so that no angle carries a rounding error of order m eps
+    period = 8 * m + 4
+    odd = np.outer(2 * np.arange(ell) + 1, 2 * np.arange(m) + 1) % period
+    return np.cos(odd * (2.0 * math.pi / period)) * (2.0 / math.sqrt(2 * m + 1))
+
+
+def _reorthogonalize(w: np.ndarray, basis: np.ndarray) -> tuple[np.ndarray, float]:
+    """w less its part in the span of the orthonormal rows of basis, and
+    the norm of what is left.
+
+    Classical Gram-Schmidt, with a second pass when the first cancels more
+    than half of the norm (twice is enough: Giraud, Langou and Rozloznik,
+    Numer. Math. 2005).
+    """
+    before = np.linalg.norm(w)
+    w = w - (basis @ w) @ basis
+    after = np.linalg.norm(w)
+    if after < 0.5 * before:
+        w = w - (basis @ w) @ basis
+        after = np.linalg.norm(w)
+    return w, float(after)
+
+
+def _lanczos_rows(m: int, r: int, ell: int) -> np.ndarray:
+    """Top-ell right singular rows of A = D^{-r}, for ell < m, by
+    Golub-Kahan-Lanczos bidiagonalization (Golub and Kahan, SIAM J. Numer.
+    Anal. B 1965) with full reorthogonalization (Simon and Zha, SIAM J.
+    Sci. Comput. 2000).
+
+    From the unit start v_1 = (1, ..., 1) / sqrt(m), step j sets
+
+        alpha_j u_j = A v_j - beta_{j-1} u_{j-1},
+        beta_j v_{j+1} = A^T u_j - alpha_j v_j,
+
+    each new vector reorthogonalized against every earlier one of its
+    sequence.  After k steps A V_k = U_k B_k and A^T U_k = V_k B_k^T +
+    beta_k v_{k+1} e_k^T, with B_k the k x k upper bidiagonal of the alphas
+    (diagonal) and betas (superdiagonal).  A is r running sums, and A^T the
+    same on the reversed vector, reversed.
+
+    Stop rule.  Let B_k = P S Q^T.  The ell Ritz rows W = Q_ell^T V_k and
+    their partners U_k P_ell satisfy A W^T = U_k P_ell S_ell exactly, and
+    A^T U_k P_ell - W^T S_ell = beta_k v_{k+1} (e_k^T P_ell): a rank-one
+    residual of norm rho = beta_k ||e_k^T P_ell||.  By Wedin's theorem
+    (BIT 1972) the sine of the largest principal angle between span(W) and
+    the exact top-ell right singular subspace is at most
+    rho / (s_ell - sigma_{ell+1}).  B_k is a compression of A, so its
+    singular values s_j lie below A's sigma_j and climb towards them; the
+    stop puts s_{ell+1} in place of sigma_{ell+1} and returns W once
+
+        rho <= tol * (s_ell - s_{ell+1}),   tol = max(1e-12, 16 eps s_1 / s_ell).
+
+    That gap is an estimate, as for any Krylov method, which cannot see a
+    singular value its start vector misses; the all-ones start weights
+    every direction here, and the tests hold the rows to the dense SVD.
+    The computed rho falls past rounding, so the stop is always reached;
+    the floor term ends the iteration once rho is below what rounding of
+    the relation (about eps sigma_1) leaves meaningful, at r = 3 and large
+    ell.  The returned rows then carry that rounding, about eps sigma_1
+    divided by the gap, as any backward-stable SVD's do.  In exact
+    arithmetic beta_m = 0, so k = m ends the loop at the latest.
+
+    B_k is factored when k first exceeds ell and then every max(4, k / 8)
+    steps: all those small SVDs cost about as much as the last, and at most
+    an eighth more steps run than the stop needs.  The Lanczos rows start
+    at 2 ell + 8 and double when full, so they hold O(k m) doubles.
+    """
+    cap = 2 * ell + 8
+    v_rows, u_rows = np.empty((cap, m)), np.empty((cap, m))
+    alphas: list[float] = []
+    betas: list[float] = []
+    v = np.full(m, 1.0 / math.sqrt(m))
+    k, check = 0, ell + 1
+    while True:
+        if k == len(v_rows):
+            more = np.empty((min(m, 2 * k) - k, m))
+            v_rows, u_rows = np.concatenate([v_rows, more]), np.concatenate([u_rows, more])
+        v_rows[k] = v
+        u = _apply_power(v, r)
+        if k:
+            u -= betas[-1] * u_rows[k - 1]
+        u, alpha = _reorthogonalize(u, u_rows[:k])
+        u_rows[k] = u / alpha
+        # D^{-rT} is D^{-r} with rows and columns reversed
+        w = _apply_power(u_rows[k, ::-1], r)[::-1] - alpha * v
+        w, beta = _reorthogonalize(w, v_rows[: k + 1])
+        alphas.append(alpha)
+        betas.append(beta)
+        k += 1
+        if k == check:
+            p, s, qt = np.linalg.svd(np.diag(alphas) + np.diag(betas[:-1], 1))
+            tol = max(_BASIS_TOL, _BASIS_FLOOR * _EPS * s[0] / s[ell - 1])
+            if k == m or beta * np.linalg.norm(p[-1, :ell]) <= tol * (s[ell - 1] - s[ell]):
+                return qt[:ell] @ v_rows[:k]
+            check = min(m, k + max(4, k // 8))
+        v = w / beta
+
+
 @lru_cache(maxsize=_BASIS_CACHE_SIZE)
 def _top_right_singular_rows(m: int, r: int, ell: int) -> np.ndarray:
     """Rows spanning the top-ell right singular subspace of D^{-r}.
 
-    Block subspace iteration (Halko, Martinsson and Tropp, SIAM Review
-    2011) with block size b = min(m, 2 ell + 8): each step applies D^{-r}
-    to the orthonormal block Q, takes the Rayleigh-Ritz SVD of D^{-r} Q
-    (its left factor orthonormalizes that sweep), then applies D^{-rT} and
-    re-orthonormalizes by QR.  The Ritz values converge at the square of
-    the subspace angle, so the stop tests the angle itself.  Each step
-    shrinks the angle to the exact subspace by (sigma_{b+1}/sigma_ell)^2,
-    below 1/4, so the basis returned is nearer the exact one than the last
-    step moved it.  Rounding keeps successive iterates apart by about
-    eps * sigma_1 / sigma_ell (0.04-1.2 times that, measured for r <= 3 and
-    m <= 5000), which exceeds 1e-12 for r = 3 and large ell; the stop then
-    accepts a small multiple of that floor instead of iterating to the cap.
-    With b = m the first Rayleigh-Ritz step is exact.
-
-    The start block is the top-b right singular vectors of D^{-1}: the
-    eigenvectors cos(theta_j (k + 1/2)), theta_j = (2j - 1) pi / (2m + 1),
-    of D D^T, the second-difference matrix with a 1 in its (0, 0) entry
-    (the DCT family; Strang, SIAM Review 1999).  At r = 1 the first Ritz
-    basis is exact to rounding and the stop passes at the second step.  At
-    r = 2 and 3 the top-ell subspace lies within sine 0.10 and 0.21 of the
-    start's span (measured against the dense SVD for m <= 1000 and ell up
-    to 3 ceil(m (5/m)^0.7)), so every target direction is present and the
-    iteration takes 9 and 6 steps.
+    - r = 1: the closed form (_order_one_rows), exact to rounding; nothing
+      is factored.
+    - 2 ell + 8 >= m: one SVD of the dense D^{-r}, r running sums of the
+      identity, which is a Rayleigh-Ritz step over the whole space.  Just
+      below this threshold Lanczos takes 1.5-4 times as long as this SVD
+      (m = 100 to 800, one BLAS thread).
+    - otherwise: Golub-Kahan-Lanczos (_lanczos_rows) in O(k m) memory.
     """
-    b = min(m, 2 * ell + 8)
-    theta = (2.0 * np.arange(1, b + 1) - 1.0) * (math.pi / (2 * m + 1))
-    q, _ = np.linalg.qr(np.cos(np.outer(np.arange(m) + 0.5, theta)))
-    prev = None
-    for _ in range(_BASIS_MAX_ITERS):
-        u, s, wt = np.linalg.svd(_apply_power(q, r), full_matrices=False)
-        ritz = q @ wt[:ell].T
-        if b == m:
-            break
-        if prev is not None:
-            # sin of the largest principal angle between span(prev) and span(ritz)
-            resid = prev - ritz @ (ritz.T @ prev)
-            tol = max(_BASIS_TOL, _BASIS_FLOOR * _EPS * s[0] / s[ell - 1])
-            if np.linalg.eigvalsh(resid.T @ resid)[-1] <= tol * tol:
-                break
-        prev = ritz
-        # D^{-rT} is D^{-r} with rows and columns reversed
-        q, _ = np.linalg.qr(_apply_power(u[::-1], r)[::-1])
+    if r == 1:
+        rows = _order_one_rows(m, ell)
+    elif 2 * ell + 8 >= m:
+        rows = np.linalg.svd(_apply_power(np.eye(m), r))[2][:ell].copy()
     else:
-        raise RuntimeError(
-            f"projection basis for m={m}, r={r}, ell={ell} did not converge "
-            f"in {_BASIS_MAX_ITERS} iterations"
-        )
-    out = np.ascontiguousarray(ritz.T)
-    out.setflags(write=False)
-    return out
+        rows = _lanczos_rows(m, r, ell)
+    rows.setflags(write=False)
+    return rows
 
 
 def projected_basis(m: int, r: int, ell: int) -> np.ndarray:

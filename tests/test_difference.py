@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -9,9 +10,11 @@ from hypothesis import strategies as st
 import sdcs.difference as difference
 from oracles import difference_matrix, inverse_difference_power, singular_profile
 from sdcs.difference import check_exact_power, difference_power, projected_basis
+from sdcs.recovery import projection_dim
 from sdcs.rng import RngStream
 
 GOLDEN = (1.0 + math.sqrt(5.0)) / 2.0
+EPS = float(np.finfo(np.float64).eps)
 
 
 def test_difference_matrix_small():
@@ -230,31 +233,98 @@ def test_caches_stay_bounded():
     assert basis.maxsize < 10
 
 
-def test_projected_basis_iteration_cap_raises(monkeypatch):
-    monkeypatch.setattr(difference, "_BASIS_MAX_ITERS", 2)
-    difference._top_right_singular_rows.cache_clear()
-    try:
-        with pytest.raises(RuntimeError, match="did not converge"):
-            projected_basis(400, 2, 20)
-    finally:
+def test_order_one_basis_is_the_closed_form(monkeypatch):
+    # At r = 1 the rows are the closed-form right singular vectors
+    # cos(theta_j (k + 1/2)): nothing is factored, on either side of the
+    # dense threshold 2 ell + 8 = m, and they span the dense SVD's top rows.
+    m = 300
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the order-one basis factors nothing")
+
+    rows = {}
+    with monkeypatch.context() as patch:
+        for name in ("svd", "qr", "eigh"):
+            patch.setattr(np.linalg, name, refuse)
         difference._top_right_singular_rows.cache_clear()
+        for ell in (31, 146, m):
+            rows[ell] = projected_basis(m, 1, ell)
+    vt = np.linalg.svd(inverse_difference_power(m, 1))[2]
+    for ell, w in rows.items():
+        assert np.max(np.abs(w @ w.T - np.eye(ell))) <= 1e-12
+        assert principal_sine(vt[:ell], w) <= 1e-12
 
 
-def test_order_one_basis_converges_at_the_second_step(monkeypatch):
-    # The start block is the closed-form top-b right singular subspace of
-    # D^{-1}, so the first Ritz basis is exact and the stop passes at the
-    # second: one SVD per step.
-    calls = []
-    svd = np.linalg.svd
+@lru_cache(maxsize=2)
+def dense_svd(m, r):
+    """Singular values and right singular rows of the binomial oracle."""
+    _, s, vt = np.linalg.svd(inverse_difference_power(m, r))
+    return s, vt
 
-    def counted(*args, **kwargs):
-        calls.append(args[0].shape)
-        return svd(*args, **kwargs)
 
-    monkeypatch.setattr(np.linalg, "svd", counted)
+def basis_error_bound(s, ell, m):
+    """What the stop rule promises for the sine to the dense SVD's top rows.
+
+    The Lanczos stop bounds the sine to the exact subspace by
+    tol = max(1e-12, 16 eps s_1 / s_ell).  Rounding adds, to that basis and
+    to the oracle's alike, the error of a backward-stable SVD: a backward
+    error of at most m eps s_1 (a dimension-sized growth factor), which
+    Wedin's theorem turns into m eps s_1 / gap, with gap = s_ell - s_{ell+1}
+    (s_{m+1} = 0).
+    """
+    tol = max(1e-12, 16 * EPS * s[0] / s[ell - 1])
+    gap = s[ell - 1] - (s[ell] if ell < m else 0.0)
+    return tol + 2 * m * EPS * s[0] / gap
+
+
+def ells_on_both_sides(m):
+    """ell in [1, m], drawn from Lanczos's side of 2 ell + 8 = m or the dense side."""
+    dense = st.integers(max(1, (m - 7) // 2), m)
+    return dense if m < 11 else st.one_of(st.integers(1, (m - 9) // 2), dense)
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(st.integers(1, 300).flatmap(
+    lambda m: st.tuples(st.just(m), st.sampled_from((1, 2, 3)), ells_on_both_sides(m))))
+@example((300, 2, 145))  # 2 ell + 8 = 298 < m: Lanczos
+@example((300, 3, 146))  # 2 ell + 8 = m: dense
+@example((300, 3, 1))
+@example((12, 1, 1))
+def test_projected_basis_matches_the_dense_svd_within_the_stop_bound(key):
+    m, r, ell = key
+    s, vt = dense_svd(m, r)
+    w = projected_basis(m, r, ell)
+    assert w.shape == (ell, m)
+    assert np.max(np.abs(w @ w.T - np.eye(ell))) <= 1e-12
+    assert principal_sine(vt[:ell], w) <= basis_error_bound(s, ell, m)
+
+
+def test_lanczos_without_a_stop_runs_to_k_equals_m_and_is_exact(monkeypatch):
+    # With a negative tolerance the stop cannot pass before k = m, where the
+    # Lanczos vectors span the whole space: the rows grow past their first
+    # 2 ell + 8 and still match the dense SVD.
+    monkeypatch.setattr(difference, "_BASIS_TOL", -1.0)
+    monkeypatch.setattr(difference, "_BASIS_FLOOR", -1.0)
+    s, vt = dense_svd(60, 2)
+    w = difference._lanczos_rows(60, 2, 5)
+    assert w.shape == (5, 60)
+    assert np.max(np.abs(w @ w.T - np.eye(5))) <= 1e-12
+    assert principal_sine(vt[:5], w) <= basis_error_bound(s, 5, 60)
+
+
+def test_cold_basis_memory_is_linear_in_m():
+    # The Lanczos rows grow with the steps taken, about 2 ell here, never
+    # to an m x m array (3.2 GB at m = 20000).
+    m, r = 20000, 3
+    ell = projection_dim(m, 5, 0.7)
+    assert 2 * ell + 8 < m
     difference._top_right_singular_rows.cache_clear()
+    tracemalloc.start()
     try:
-        projected_basis(2000, 1, 31)
+        w = projected_basis(m, r, ell)
+        peak = tracemalloc.get_traced_memory()[1]
     finally:
-        difference._top_right_singular_rows.cache_clear()
-    assert calls == [(2000, 70), (2000, 70)]
+        tracemalloc.stop()
+    assert w.shape == (ell, m)
+    # two Lanczos sequences of at most twice their first 2 ell + 8 rows
+    assert peak <= 4 * (2 * ell + 8) * m * 8

@@ -589,9 +589,10 @@ class TestFullPipeline:
         assert sorted(shapes) == sorted([(m, s), (rep.ell, s)])
 
     def test_cold_call_takes_no_square_svd(self, monkeypatch):
-        # the projection basis comes from subspace iteration on m x b blocks;
-        # no SVD of an m x m matrix runs even when nothing is cached
-        m, s, r = 200, 5, 1
+        # below the dense threshold the projection basis comes from Lanczos
+        # bidiagonalization, which factors only its k x k bidiagonals; no SVD
+        # of an m x m matrix runs even when nothing is cached
+        m, s, r = 200, 5, 2
         assert 2 * projection_dim(m, s, 0.7) + 8 < m
         difference._power_slot.clear()
         difference._top_right_singular_rows.cache_clear()
@@ -604,7 +605,7 @@ class TestFullPipeline:
 
         monkeypatch.setattr(np.linalg, "svd", recording_svd)
         full_pipeline(GAUSS, 64, s, m, r, 0.02, 0.7, RngStream(56))
-        assert len(shapes) > 2  # the cold basis ran its Rayleigh-Ritz steps
+        assert len(shapes) > 2  # the cold basis factored its bidiagonals
         assert all(shape[0] < m or shape[1] < m for shape in shapes)
 
     def test_m_less_than_s_rejected(self):

@@ -9,9 +9,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import sdcs.rip as rip
-from oracles import ric_exact_reference, ric_monte_carlo_reference
+from oracles import inverse_difference_power, ric_exact_reference, ric_monte_carlo_reference
 from sdcs.difference import projected_basis
 from sdcs.measurement import Ensemble, sample_matrix
+from sdcs.recovery import full_pipeline
 from sdcs.rip import (
     SmallBallSummary,
     projected_matrix,
@@ -299,3 +300,36 @@ def test_small_ball_holds_the_projection_not_the_draw():
 def test_small_ball_validation():
     with pytest.raises(ValueError):
         small_ball_probe(Ensemble("gaussian"), 10, 1, 2, 0, RngStream(0))
+
+
+def test_diagnostics_depend_only_on_the_span_of_the_basis(monkeypatch):
+    # At the benchmark's RIP keys, (800, 2, 23) and (200, 2, 16), swap the
+    # library's rows for the dense SVD's top rows.  The two span one
+    # subspace to within a sine of about 1e-12 (test_difference), and each
+    # diagnostic depends on the rows W only through W^T W, which moves by
+    # twice that sine.  Scaled by ||Phi_T||^2 / ell (about 40 here) over
+    # values of 0.4 to 16, that is below 1e-9 relative: the tolerance, a
+    # thousandth of the benchmark's rel-1e-6 reference check.
+    gauss = Ensemble("gaussian")
+    oracle = {(m, 2, ell): np.linalg.svd(inverse_difference_power(m, 2))[2][:ell]
+              for m, ell in ((800, 23), (200, 16))}
+
+    def diagnostics():
+        out = []
+        for m, n, ell in ((800, 256, 23), (200, 48, 16)):
+            a = projected_matrix(sample_matrix(gauss, m, n, RngStream(20240).substream(m)), 2, ell)
+            out.append(ric_monte_carlo(a, 4, 1000, RngStream(4051).substream(m)).value)
+        out.append(ric_exact(a, 4).value)
+        probe = small_ball_probe(gauss, 200, 2, 16, 10000, RngStream(7))
+        out += [probe.mean, *probe.quantiles]
+        for seed in (1, 2, 3):
+            rep = full_pipeline(gauss, 256, 5, 800, 2, 0.01, 0.7, RngStream(seed))
+            assert rep.ell == 23
+            out.append(rep.sigma_min_proj)
+        return np.array(out)
+
+    ours = diagnostics()
+    monkeypatch.setattr(rip, "projected_basis", lambda m, r, ell: oracle[m, r, ell])
+    dense = diagnostics()
+    assert np.all(np.isfinite(dense))
+    assert np.all(np.abs(ours - dense) <= 1e-9 * np.abs(dense))
