@@ -5,17 +5,17 @@ subdiagonal); its inverse is the running-sum operator, and the r-th
 inverse power D^{-r} is applied as r running sums.  Entry (i, j) of D^{-r}
 is binomial(i - j + r - 1, r - 1) for i >= j, an integer.
 
-Two small bounded caches serve the sweeps, which reuse one (m, r) across
-many trials:
+One piece of kept state serves the sweeps, which reuse one (m, r) across
+many trials: what was built for the last (m, r) asked for.  Building
+anything for another (m, r) empties it first, so it never holds two.
 
-- ``difference_power(m, r)`` keeps the dense D^{-r} of the last (m, r)
-  only, m*m doubles (32 MB at m=2000), for the noise-shaping
-  reconstruction, and releases it before building another.  It fills the
-  matrix from its first column, D^{-r} e_0 taken as r running sums, which
-  is exact while every entry stays at or below 2^53; past that it raises
+- ``difference_power(m, r)`` is the dense D^{-r}, m*m doubles (32 MB at
+  m=2000), for the noise-shaping reconstruction.  It is filled from its
+  first column, D^{-r} e_0 taken as r running sums, which is exact while
+  every entry stays at or below 2^53; past that it raises
   (check_exact_power);
-- ``projected_basis(m, r, ell)`` holds the top-ell right singular vectors
-  of that power in an LRU cache, ell*m doubles per key (0.5 MB at m=2000,
+- ``projected_basis(m, r, ell)`` is the top-ell right singular vectors of
+  that power, ell*m doubles for each ell asked for (0.5 MB at m=2000,
   ell=31).
 
 At r = 1 the basis is the closed-form right singular vectors of D^{-1}.
@@ -23,7 +23,7 @@ At higher orders it comes from Golub-Kahan-Lanczos bidiagonalization,
 which applies D^{-r} and its transpose as r running sums and keeps O(k m)
 doubles for its k steps, so no dense m x m matrix and no m x m SVD is
 formed for it.  Only where 2 ell + 8 >= m, a basis of about half the
-space or more, is it one dense SVD.
+space or more, is it one SVD of difference_power(m, r).
 
 Both return their kept array itself, read-only, shared across callers.
 """
@@ -31,13 +31,9 @@ Both return their kept array itself, read-only, shared across callers.
 from __future__ import annotations
 
 import math
-from functools import lru_cache
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-
-# Keys the basis cache keeps.
-_BASIS_CACHE_SIZE = 8
 
 # Lanczos stop: the bound on the sine of the largest principal angle to the
 # exact top-ell subspace is at most _BASIS_TOL, or at most
@@ -49,21 +45,18 @@ _EPS = float(np.finfo(np.float64).eps)
 _EXACT_INT = 2**53
 
 
-def _check_order(m: int, r: int) -> None:
-    if m < 1:
-        raise ValueError("m must be >= 1")
-    if r < 1:
-        raise ValueError("r must be >= 1")
-
-
 def check_exact_power(m: int, r: int) -> None:
-    """Raise ValueError unless every entry of the r-th inverse power at m is
-    an exact double.
+    """Raise ValueError unless m >= 1, r >= 1 and every entry of the r-th
+    inverse power at m is an exact double.
 
     The entries are the binomials C(k + r - 1, r - 1), k < m, increasing in
     k, so the largest is C(m + r - 2, r - 1); doubles hold every integer up
     to 2^53 exactly.
     """
+    if m < 1:
+        raise ValueError("m must be >= 1")
+    if r < 1:
+        raise ValueError("r must be >= 1")
     top = math.comb(m + r - 2, r - 1)
     if top > _EXACT_INT:
         raise ValueError(
@@ -73,37 +66,50 @@ def check_exact_power(m: int, r: int) -> None:
         )
 
 
-# difference_power's one kept entry, (m, r) -> dense power, or empty.
-_power_slot: dict[tuple[int, int], np.ndarray] = {}
+# What was built for the last (m, r) asked for: the dense power under
+# (m, r, None) and the basis of each ell under (m, r, ell).  Every key
+# shares one (m, r).
+_kept: dict[tuple[int, int, int | None], np.ndarray] = {}
+
+
+def _kept_or_built(m: int, r: int, ell: int | None, build) -> np.ndarray:
+    """The array kept under (m, r, ell), else the one build() returns, kept.
+
+    A build checks (m, r) (check_exact_power) and, for another (m, r) than
+    the kept one, first empties the kept state, so the old arrays are
+    released before the new one is made.  Kept arrays are read-only.
+    """
+    key = (m, r, ell)
+    if key not in _kept:
+        check_exact_power(m, r)
+        if next(iter(_kept), key)[:2] != (m, r):
+            _kept.clear()
+        built = build()
+        built.setflags(write=False)
+        _kept[key] = built
+    return _kept[key]
 
 
 def difference_power(m: int, r: int) -> np.ndarray:
-    """Dense r-th inverse difference power for dimension m, kept for the
-    last (m, r) asked for.
+    """Dense r-th inverse difference power for dimension m, kept until
+    something is built for another (m, r).
 
     The power is lower-triangular Toeplitz, so it is filled from its first
     column, D^{-r} e_0, taken as r running sums.  Every partial sum is an
     integer no larger than the largest entry, so the fill is exact where
-    check_exact_power passes; it raises ValueError elsewhere.
-
-    A sweep visits one (m, r) at a time, so one slot serves it.  The kept
-    array is dropped before a new one is built, so the module never holds
-    two.  The returned array is read-only; it is shared across callers.
+    check_exact_power passes; it raises ValueError elsewhere.  The returned
+    array is read-only; it is shared across callers.
     """
-    if (m, r) in _power_slot:
-        return _power_slot[m, r]
-    _check_order(m, r)
-    check_exact_power(m, r)
-    _power_slot.clear()
+    return _kept_or_built(m, r, None, lambda: _dense_power(m, r))
+
+
+def _dense_power(m: int, r: int) -> np.ndarray:
     unit = np.zeros(m)
     unit[0] = 1.0
     # With c the first column, row i is c_i, ..., c_0 followed by zeros, the
     # reverse of the length-m window of [0, ..., 0, c_0, ..., c_{m-1}] at i.
     padded = np.concatenate([np.zeros(m - 1), _apply_power(unit, r)])
-    inv = sliding_window_view(padded, m)[:, ::-1].copy()
-    inv.setflags(write=False)
-    _power_slot[m, r] = inv
-    return inv
+    return sliding_window_view(padded, m)[:, ::-1].copy()
 
 
 def _apply_power(x: np.ndarray, r: int) -> np.ndarray:
@@ -222,26 +228,22 @@ def _lanczos_rows(m: int, r: int, ell: int) -> np.ndarray:
         v = w / beta
 
 
-@lru_cache(maxsize=_BASIS_CACHE_SIZE)
-def _top_right_singular_rows(m: int, r: int, ell: int) -> np.ndarray:
+def _top_right_rows(m: int, r: int, ell: int) -> np.ndarray:
     """Rows spanning the top-ell right singular subspace of D^{-r}.
 
     - r = 1: the closed form (_order_one_rows), exact to rounding; nothing
       is factored.
-    - 2 ell + 8 >= m: one SVD of the dense D^{-r}, r running sums of the
-      identity, which is a Rayleigh-Ritz step over the whole space.  Just
-      below this threshold Lanczos takes 1.5-4 times as long as this SVD
-      (m = 100 to 800, one BLAS thread).
+    - 2 ell + 8 >= m: one SVD of difference_power(m, r), which is a
+      Rayleigh-Ritz step over the whole space.  Just below this threshold
+      Lanczos takes 1.5-4 times as long as this SVD (m = 100 to 800, one
+      BLAS thread).
     - otherwise: Golub-Kahan-Lanczos (_lanczos_rows) in O(k m) memory.
     """
     if r == 1:
-        rows = _order_one_rows(m, ell)
-    elif 2 * ell + 8 >= m:
-        rows = np.linalg.svd(_apply_power(np.eye(m), r))[2][:ell].copy()
-    else:
-        rows = _lanczos_rows(m, r, ell)
-    rows.setflags(write=False)
-    return rows
+        return _order_one_rows(m, ell)
+    if 2 * ell + 8 >= m:
+        return np.linalg.svd(difference_power(m, r))[2][:ell].copy()
+    return _lanczos_rows(m, r, ell)
 
 
 def projected_basis(m: int, r: int, ell: int) -> np.ndarray:
@@ -249,10 +251,11 @@ def projected_basis(m: int, r: int, ell: int) -> np.ndarray:
 
     These are the directions paired with the ell largest singular values
     (the first ell rows of V^T, up to an orthogonal change of basis within
-    their span, which no caller's result depends on).  The returned array
-    is read-only; it is shared across callers.
+    their span, which no caller's result depends on).  They are kept until
+    something is built for another (m, r), and (m, r) must pass
+    check_exact_power.  The returned array is read-only; it is shared
+    across callers.
     """
-    _check_order(m, r)
     if not 1 <= ell <= m:
-        raise ValueError(f"need 1 <= ell <= m, got ell={ell}, m={m}")
-    return _top_right_singular_rows(m, r, ell)
+        raise ValueError(f"need 1 <= ell <= {m}, got ell={ell}")
+    return _kept_or_built(m, r, ell, lambda: _top_right_rows(m, r, ell))

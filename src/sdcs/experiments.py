@@ -51,8 +51,6 @@ class SweepConfig:
         Ensemble(self.ensemble)  # validates the kind
         if not 1 <= self.s <= self.n:
             raise ValueError("need 1 <= s <= n")
-        if self.r < 1:
-            raise ValueError("r must be >= 1")
         if not self.delta > 0:
             raise ValueError("delta must be positive")
         if not 0.0 < self.alpha <= 1.0:

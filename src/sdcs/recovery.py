@@ -379,16 +379,14 @@ def full_pipeline(
     """
     if m < s:
         raise ValueError("need m >= s")
-    if r < 1:
-        raise ValueError("r must be >= 1")
     check_exact_power(m, r)
+    ell = projection_dim(m, s, alpha)  # >= s, since (s/m)^alpha >= s/m
     signal, phi = draw_instance(ensemble, n, s, m, r, delta, rng)
     result, t_hat, correct, x_hat, err, bound = _recover(
         phi, signal, QuantizerConfig(r=r, delta=delta))
     mags = np.sort(np.abs(result.x))[::-1]
     tie = bool(n > s and mags[s - 1] - mags[s] < 1e-9)
 
-    ell = projection_dim(m, s, alpha)  # >= s, since (s/m)^alpha >= s/m
     smin_proj = math.nan
     if err < math.inf:
         proj_sub = projected_matrix(phi[:, t_hat], r, ell)

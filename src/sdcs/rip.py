@@ -97,13 +97,6 @@ def _solve(gram: np.ndarray, bound: np.ndarray, supports, worst: float) -> float
     maximum; see the module docstring.
     """
     live = np.flatnonzero(bound >= worst)
-    if live.size > _CHUNK:
-        # The _CHUNK largest bounds go first, unsorted: the maximum they
-        # reach usually rules out the rest before they need a sort.
-        live = live[np.argpartition(-bound[live], _CHUNK)]
-        worst = _deviation(gram, supports(live[:_CHUNK]), worst)
-        live = live[_CHUNK:]
-        live = live[bound[live] >= worst]
     live = live[np.argsort(-bound[live])]
     for lo in range(0, live.size, _CHUNK):
         chunk = live[lo:lo + _CHUNK]
@@ -253,10 +246,7 @@ def ric_monte_carlo(a, s: int, trials: int, rng: RngStream) -> RipEstimate:
 def projected_matrix(phi, r: int, ell: int) -> np.ndarray:
     """The ell x N matrix (1/sqrt(ell)) * (first ell projection rows) @ phi."""
     phi = as_matrix(phi, "phi")
-    m = phi.shape[0]
-    if not 1 <= ell <= m:
-        raise ValueError(f"need 1 <= ell <= {m}, got ell={ell}")
-    return (projected_basis(m, r, ell) @ phi) / math.sqrt(ell)
+    return (projected_basis(phi.shape[0], r, ell) @ phi) / math.sqrt(ell)
 
 
 @dataclass(frozen=True)

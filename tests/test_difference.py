@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 import sdcs.difference as difference
 from oracles import difference_matrix, inverse_difference_power, singular_profile
 from sdcs.difference import check_exact_power, difference_power, projected_basis
-from sdcs.recovery import projection_dim
+from sdcs.measurement import Ensemble
+from sdcs.recovery import full_pipeline, projection_dim
 from sdcs.rng import RngStream
 
 GOLDEN = (1.0 + math.sqrt(5.0)) / 2.0
@@ -76,7 +77,7 @@ def test_inverse_power_entries_stay_exact_doubles():
 
 
 def test_inverse_power_builds_without_index_arrays():
-    difference._power_slot.clear()
+    difference._kept.clear()
     tracemalloc.start()
     try:
         inv = difference_power(1000, 3)
@@ -89,7 +90,7 @@ def test_inverse_power_builds_without_index_arrays():
 def test_difference_power_holds_one_dense_power_at_a_time():
     # The kept power is released before the next is built, so building a
     # third (m, r) never has two others alive beside it.
-    difference._power_slot.clear()
+    difference._kept.clear()
     tracemalloc.start()
     try:
         difference_power(500, 1)
@@ -213,24 +214,90 @@ def test_projected_basis_spans_dense_top_right_singular_vectors(r, m):
 
 
 def test_projected_basis_repeatable_bytes():
-    # a repeat call hands back the cached rows themselves, read-only
+    # a repeat call hands back the kept rows themselves, read-only
     first = projected_basis(300, 1, 17)
     assert projected_basis(300, 1, 17) is first
     assert not first.flags.writeable
     with pytest.raises(ValueError):
         first[0, 0] = 0.0
-    difference._top_right_singular_rows.cache_clear()
+    difference._kept.clear()
     assert projected_basis(300, 1, 17).tobytes() == first.tobytes()
 
 
 def test_caches_stay_bounded():
+    # the one kept dict holds only what was built for the last (m, r)
     for m in range(40, 50):
-        difference_power(m, 1)
+        difference_power(m, 2)
+        projected_basis(m, 2, 3)
+        projected_basis(m, 2, 30)  # dense regime: factors the kept power
         projected_basis(m, 1, 3)
-    assert list(difference._power_slot) == [(49, 1)]
-    basis = difference._top_right_singular_rows.cache_info()
-    assert basis.currsize == basis.maxsize
-    assert basis.maxsize < 10
+    assert list(difference._kept) == [(49, 1, 3)]
+    projected_basis(49, 1, 5)
+    difference_power(49, 1)
+    assert list(difference._kept) == [(49, 1, 3), (49, 1, 5), (49, 1, None)]
+    projected_basis(49, 2, 3)
+    assert list(difference._kept) == [(49, 2, 3)]
+
+
+def count_builds(monkeypatch):
+    """Patch the two cold builders of sdcs.difference to record their keys."""
+    built = []
+    dense, rows = difference._dense_power, difference._top_right_rows
+
+    def counted_dense(m, r):
+        built.append((m, r, None))
+        return dense(m, r)
+
+    def counted_rows(m, r, ell):
+        built.append((m, r, ell))
+        return rows(m, r, ell)
+
+    monkeypatch.setattr(difference, "_dense_power", counted_dense)
+    monkeypatch.setattr(difference, "_top_right_rows", counted_rows)
+    difference._kept.clear()
+    return built
+
+
+# The order in which one benchmark process asks for the kept arrays, as
+# (m, r, ell, calls).  A sweep trial asks for difference_power(m, r) (the
+# Sobolev stage) and then projected_basis(m, r, ell), ell =
+# projection_dim(m, 5, 0.7), for `calls` trials of one (m, r) block; the
+# orders alternate at each m.  The order-0 baseline block asks for neither.
+# A RIP op asks only for projected_basis.
+SWEEP_ACCEPT = tuple((m, r, ell, 20) for m, ell in ((100, 13), (200, 16), (400, 19), (800, 23))
+                     for r in (1, 2))
+SWEEP_LARGE_M = tuple((m, r, ell, 13) for m, ell in ((1000, 25), (2000, 31)) for r in (1, 3))
+RIP_DIAG = ((800, 2, 23, 15), (200, 2, 16, 7))
+
+
+@pytest.mark.parametrize(("order", "with_power"), [
+    (SWEEP_ACCEPT, True), (SWEEP_LARGE_M, True), (RIP_DIAG, False)])
+def test_each_workload_key_is_built_once(monkeypatch, order, with_power):
+    built = count_builds(monkeypatch)
+    want = []
+    for m, r, ell, calls in order:
+        if with_power:
+            assert projection_dim(m, 5, 0.7) == ell
+        for _ in range(calls):
+            if with_power:
+                difference_power(m, r)
+            projected_basis(m, r, ell)
+        want += [(m, r, None), (m, r, ell)] if with_power else [(m, r, ell)]
+    assert built == want
+
+
+def test_dense_regime_basis_factors_the_kept_power(monkeypatch):
+    # At 2 ell + 8 >= m the basis is the SVD of difference_power(m, r), so
+    # a trial's Sobolev stage and projection build one dense power between
+    # them, and a later basis at the same (m, r) reuses it.
+    m, s, r = 20, 5, 2
+    ell = projection_dim(m, s, 0.7)
+    assert (ell, 2 * ell + 8 >= m) == (8, True)
+    built = count_builds(monkeypatch)
+    full_pipeline(Ensemble("gaussian"), 64, s, m, r, 0.02, 0.7, RngStream(57))
+    assert built == [(m, r, None), (m, r, ell)]
+    projected_basis(m, r, 12)
+    assert built == [(m, r, None), (m, r, ell), (m, r, 12)]
 
 
 def test_order_one_basis_is_the_closed_form(monkeypatch):
@@ -246,7 +313,7 @@ def test_order_one_basis_is_the_closed_form(monkeypatch):
     with monkeypatch.context() as patch:
         for name in ("svd", "qr", "eigh"):
             patch.setattr(np.linalg, name, refuse)
-        difference._top_right_singular_rows.cache_clear()
+        difference._kept.clear()
         for ell in (31, 146, m):
             rows[ell] = projected_basis(m, 1, ell)
     vt = np.linalg.svd(inverse_difference_power(m, 1))[2]
@@ -318,7 +385,7 @@ def test_cold_basis_memory_is_linear_in_m():
     m, r = 20000, 3
     ell = projection_dim(m, 5, 0.7)
     assert 2 * ell + 8 < m
-    difference._top_right_singular_rows.cache_clear()
+    difference._kept.clear()
     tracemalloc.start()
     try:
         w = projected_basis(m, r, ell)

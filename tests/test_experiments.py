@@ -101,8 +101,7 @@ def test_any_subset_and_order_of_trials_reproduces_the_sweep_rows(plan):
     want = sweep_lines()
     for (r, m, trial), cold in plan:
         if cold:
-            difference._power_slot.clear()
-            difference._top_right_singular_rows.cache_clear()
+            difference._kept.clear()
         cfg = ORDER_CONFIGS[r]
         seed = trial_seed(cfg.seed, m, trial)
         rep = full_pipeline(Ensemble(cfg.ensemble), cfg.n, cfg.s, m, r, cfg.delta,

@@ -594,8 +594,7 @@ class TestFullPipeline:
         # of an m x m matrix runs even when nothing is cached
         m, s, r = 200, 5, 2
         assert 2 * projection_dim(m, s, 0.7) + 8 < m
-        difference._power_slot.clear()
-        difference._top_right_singular_rows.cache_clear()
+        difference._kept.clear()
         shapes = []
         svd = np.linalg.svd
 
@@ -612,14 +611,27 @@ class TestFullPipeline:
         with pytest.raises(ValueError):
             full_pipeline(GAUSS, 64, 5, 4, 1, 0.02, 0.7, RngStream(0))
 
-    def test_inexact_inverse_power_rejected_before_drawing(self):
+    @staticmethod
+    def refuse_to_draw(monkeypatch):
+        def refuse(*args):
+            raise AssertionError("drew an instance for rejected parameters")
+
+        monkeypatch.setattr(recovery, "draw_instance", refuse)
+
+    def test_inexact_inverse_power_rejected_before_drawing(self, monkeypatch):
         # C(2007, 8) = 6.4e21 > 2^53: the dense D^{-9} would not be exact
-        rng = RngStream(0)
-        with pytest.raises(ValueError, match=r"C\(2007, 8\) = 6.44e\+21, exceeds 2\^53"):
-            full_pipeline(GAUSS, 64, 3, 2000, 9, 0.02, 0.7, rng)
-        assert rng.counter == 0
+        with monkeypatch.context() as patch:
+            self.refuse_to_draw(patch)
+            with pytest.raises(ValueError, match=r"C\(2007, 8\) = 6.44e\+21, exceeds 2\^53"):
+                full_pipeline(GAUSS, 64, 3, 2000, 9, 0.02, 0.7, RngStream(0))
         # C(207, 8) = 7.3e13 is exact; the check is on the entries only
-        assert math.isfinite(full_pipeline(GAUSS, 64, 3, 200, 9, 0.02, 0.7, rng).err_l2)
+        assert math.isfinite(full_pipeline(GAUSS, 64, 3, 200, 9, 0.02, 0.7, RngStream(0)).err_l2)
+
+    @pytest.mark.parametrize("alpha", [0.0, 1.5, math.nan])
+    def test_bad_alpha_rejected_before_drawing(self, monkeypatch, alpha):
+        self.refuse_to_draw(monkeypatch)
+        with pytest.raises(ValueError, match=r"alpha must lie in \(0, 1\]"):
+            full_pipeline(GAUSS, 64, 3, 40, 2, 0.02, alpha, RngStream(0))
 
     def test_first_trial_does_not_import_numpy_ma(self):
         # numpy.ma costs about 14 ms to import; a trial has no use for it
