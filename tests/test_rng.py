@@ -1,4 +1,11 @@
 import math
+import os
+import signal
+import subprocess
+import sys
+import threading
+import time
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -8,7 +15,7 @@ from hypothesis import strategies as st
 
 import sdcs.rng as rng_module
 from oracles import choose_indices_reference, randbelow_reference
-from sdcs.rng import _NORMAL_BLOCK, RngStream, _encode_label, derive_seed
+from sdcs.rng import _NORMAL_BLOCK, _SPLIT_MIN, RngStream, _encode_label, derive_seed
 
 MASK = (1 << 64) - 1
 
@@ -231,6 +238,16 @@ def test_uint64s_after_a_prefix_match_scalar_reference(c, n, seed):
     assert got.tolist() == want
 
 
+def box_muller_reference(seed: int, c: int, n: int) -> np.ndarray:
+    """One-shot Box-Muller over the 2n raw draws after the first c."""
+    oracle = RngStream(seed)
+    oracle.uint64s(c)
+    raw = oracle.uint64s(2 * n)
+    u1 = ((raw[0::2] >> np.uint64(11)).astype(np.float64) + 1.0) * 2.0 ** -53
+    u2 = (raw[1::2] >> np.uint64(11)).astype(np.float64) * 2.0 ** -53
+    return np.sqrt(-2.0 * np.log(u1)) * np.cos(2.0 * math.pi * u2)
+
+
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(st.integers(0, 2 * _NORMAL_BLOCK + 3), st.integers(0, 2 * _NORMAL_BLOCK + 3),
        st.integers(0, RAW_BLOCK + 3), st.integers(0, 2**64 - 1))
@@ -248,14 +265,127 @@ def test_normals_chunking_and_box_muller(a, b, c, seed):
     whole = s2.normals(a + b)
     assert split.tobytes() == whole.tobytes()
     assert s1.counter == s2.counter == c + 2 * (a + b)
-    # one-shot Box-Muller over the same raw draws
-    oracle = RngStream(seed)
-    oracle.uint64s(c)
-    raw = oracle.uint64s(2 * (a + b))
-    u1 = ((raw[0::2] >> np.uint64(11)).astype(np.float64) + 1.0) * 2.0 ** -53
-    u2 = (raw[1::2] >> np.uint64(11)).astype(np.float64) * 2.0 ** -53
-    want = np.sqrt(-2.0 * np.log(u1)) * np.cos(2.0 * math.pi * u2)
-    assert whole.tobytes() == want.tobytes()
+    assert whole.tobytes() == box_muller_reference(seed, c, a + b).tobytes()
+
+
+def normals_with_cpus(cpus: int, seed: int, c: int, n: int) -> tuple[bytes, int]:
+    """(bytes, counter) of normals(n) after c raw draws, with the helper
+    allowed (cpus >= 2) or not, whatever CPUs the process may really use."""
+    s = RngStream(seed)
+    s.uint64s(c)
+    with mock.patch.object(rng_module, "_usable_cpus", lambda: cpus):
+        return s.normals(n).tobytes(), s.counter
+
+
+@settings(max_examples=12, deadline=None, derandomize=True)
+@given(st.integers(_SPLIT_MIN - 3, 5 * _NORMAL_BLOCK + 3), st.integers(0, RAW_BLOCK + 3),
+       st.integers(0, 2**64 - 1))
+@example(_SPLIT_MIN - 1, 0, 1)
+@example(_SPLIT_MIN, 0, 2)
+@example(_SPLIT_MIN + 1, 1, 3)
+@example(5 * _NORMAL_BLOCK - 1, RAW_BLOCK - 1, 2**64 - 1)
+@example(5 * _NORMAL_BLOCK + 3, 5, 4)
+def test_normals_past_the_split_match_box_muller(n, c, seed):
+    # draws of _SPLIT_MIN or more are split with the helper thread
+    want = box_muller_reference(seed, c, n).tobytes()
+    assert normals_with_cpus(2, seed, c, n) == (want, c + 2 * n)
+    assert normals_with_cpus(1, seed, c, n) == (want, c + 2 * n)
+
+
+SPLIT_SIZES = [_SPLIT_MIN, _SPLIT_MIN + 7, 5 * _NORMAL_BLOCK + 1]
+
+
+def test_threads_share_the_helper(monkeypatch):
+    # more drawing threads than cores: whoever finds the helper busy draws alone
+    monkeypatch.setattr(rng_module, "_usable_cpus", lambda: 2)
+    want = {seed: [box_muller_reference(seed, 2 * sum(SPLIT_SIZES[:i]), n).tobytes()
+                   for i, n in enumerate(SPLIT_SIZES)] for seed in (11, 12, 13)}
+    got = {}
+
+    def draw(seed):
+        for _ in range(4):
+            s = RngStream(seed)
+            got.setdefault(seed, []).append([s.normals(n).tobytes() for n in SPLIT_SIZES])
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        workers = [threading.Thread(target=draw, args=(seed,), daemon=True) for seed in want]
+        for w in workers:
+            w.start()
+        for w in workers:
+            w.join(60.0)
+        assert not any(w.is_alive() for w in workers)
+    finally:
+        sys.setswitchinterval(old)
+    assert got == {seed: [bytes_] * 4 for seed, bytes_ in want.items()}
+
+
+def test_helper_failure_reaches_the_caller_and_the_helper_recovers(monkeypatch):
+    monkeypatch.setattr(rng_module, "_usable_cpus", lambda: 2)
+    real = rng_module._box_muller_into
+    helper_calls = []
+
+    def fail_once_in_helper(start, out, *buffers):
+        if threading.get_ident() != caller:
+            helper_calls.append(out.size)
+            if len(helper_calls) == 1:
+                raise RuntimeError("block failed")
+        real(start, out, *buffers)
+
+    monkeypatch.setattr(rng_module, "_box_muller_into", fail_once_in_helper)
+    n = _SPLIT_MIN + 1
+    caller = None
+    got = []
+
+    def draws():  # in a thread of its own, so that a stall fails the test
+        nonlocal caller
+        caller = threading.get_ident()
+        with pytest.raises(RuntimeError, match="block failed"):
+            RngStream(3).normals(n)
+        got.append(RngStream(3).normals(n).tobytes())
+
+    worker = threading.Thread(target=draws, daemon=True)
+    worker.start()
+    worker.join(60.0)
+    assert not worker.is_alive(), "the draw after a helper failure stalled"
+    assert len(helper_calls) == 2
+    assert got == [box_muller_reference(3, 0, n).tobytes()]
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+@pytest.mark.filterwarnings("ignore:This process .* is multi-threaded:DeprecationWarning")
+def test_forked_child_starts_its_own_helper(monkeypatch):
+    monkeypatch.setattr(rng_module, "_usable_cpus", lambda: 2)
+    n = _SPLIT_MIN + 5
+    want = box_muller_reference(5, 0, n).tobytes()
+    assert RngStream(5).normals(n).tobytes() == want  # the helper is running
+    pid = os.fork()
+    if pid == 0:  # child: report through the exit status only
+        try:
+            os._exit(0 if RngStream(5).normals(n).tobytes() == want else 1)
+        finally:
+            os._exit(2)
+    deadline = time.monotonic() + 60.0
+    while (done := os.waitpid(pid, os.WNOHANG))[0] == 0 and time.monotonic() < deadline:
+        time.sleep(0.01)
+    if done[0] == 0:
+        os.kill(pid, signal.SIGKILL)
+        os.waitpid(pid, 0)
+        pytest.fail("the forked child's draw did not finish")
+    assert os.waitstatus_to_exitcode(done[1]) == 0
+
+
+def test_importing_the_cli_starts_no_thread():
+    code = ("import sys, threading\n"
+            "before = threading.active_count()\n"
+            "import sdcs.cli\n"
+            "assert threading.active_count() == before, threading.enumerate()\n"
+            "assert 'concurrent.futures' not in sys.modules\n")
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert out.returncode == 0, out.stderr
 
 
 def test_choose_indices_uniform_singletons():
