@@ -4,13 +4,16 @@ A sweep runs recovery.full_pipeline over a grid of measurement counts with
 several trials per grid point, each trial on its own derived random
 substream, so results are reproducible and independent of execution order.
 The MSQ baseline runs recovery.msq_trial on the same seeds at one grid
-point.  The trial owns its failure rule: a degenerate draw comes back from
-recovery as a failed trial (infinite error and bound), which becomes a
-failed row here like any other outcome.  Aggregation reports per-m
-medians and quartiles over the support-correct trials, the support
-recovery rate, the fitted log-log decay slope of median error against the
-oversampling ratio lambda = m/s, and the worst observed ratio of error to
-the theoretical decay shape delta * (m/ell)^(1/2 - r).
+point.  Both hand each trial the stream of the next one at the same m, so
+that trial's matrix draw can start while this one reconstructs (see
+recovery); rows do not depend on it.  The trial owns its failure rule: a
+degenerate draw comes back from recovery as a failed trial (infinite
+error and bound), which becomes a failed row here like any other outcome.
+Aggregation reports per-m medians and quartiles over the support-correct
+trials, the support recovery rate, the fitted log-log decay slope of
+median error against the oversampling ratio lambda = m/s, and the worst
+observed ratio of error to the theoretical decay shape
+delta * (m/ell)^(1/2 - r).
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from .difference import check_exact_power
 from .linalg import format_value
 from .measurement import Ensemble
 from .recovery import MsqTrialResult, full_pipeline, msq_trial
-from .rng import RngStream, derive_seed
+from .rng import RngStream, cancel_prefetch, derive_seed
 
 SWEEP_CSV_COLUMNS = (
     "ensemble", "n", "s", "m", "r", "delta", "alpha", "ell",
@@ -104,24 +107,35 @@ def run_decay_sweep(cfg: SweepConfig) -> list[SweepRecord]:
     """Run the pipeline over the m-grid; records come back in (m, trial) order.
 
     A degenerate draw is a failed row (infinite error and bound), as
-    full_pipeline reports it.
+    full_pipeline reports it.  Each trial but the last at its m is handed
+    the next trial's stream, so the next matrix draw starts while it
+    reconstructs; a draw still pending when the sweep ends by an exception
+    is dropped.
     """
     ens = Ensemble(cfg.ensemble)
     records: list[SweepRecord] = []
-    for m in cfg.m_grid:
-        for trial in range(cfg.trials):
-            seed = trial_seed(cfg.seed, m, trial)
-            rep = full_pipeline(ens, cfg.n, cfg.s, m, cfg.r, cfg.delta, cfg.alpha,
-                                RngStream(seed))
-            records.append(SweepRecord(
-                ensemble=cfg.ensemble, n=cfg.n, s=cfg.s, m=m, r=cfg.r,
-                delta=cfg.delta, alpha=cfg.alpha, ell=rep.ell, trial=trial, seed=seed,
-                support_correct=rep.support_correct, err_l2=rep.err_l2,
-                bound_eq3=rep.err_bound, sigma_min_proj=rep.sigma_min_proj,
-                bpdn_l1_slack=rep.bpdn_l1_slack, bpdn_violation=rep.bpdn_violation,
-                bpdn_converged=rep.bpdn_converged, support_tie_flag=rep.support_tie_flag,
-            ))
+    try:
+        for m in cfg.m_grid:
+            seeds = [trial_seed(cfg.seed, m, trial) for trial in range(cfg.trials)]
+            for trial, seed in enumerate(seeds):
+                rep = full_pipeline(ens, cfg.n, cfg.s, m, cfg.r, cfg.delta, cfg.alpha,
+                                    RngStream(seed), next_rng=_next_stream(seeds, trial))
+                records.append(SweepRecord(
+                    ensemble=cfg.ensemble, n=cfg.n, s=cfg.s, m=m, r=cfg.r,
+                    delta=cfg.delta, alpha=cfg.alpha, ell=rep.ell, trial=trial, seed=seed,
+                    support_correct=rep.support_correct, err_l2=rep.err_l2,
+                    bound_eq3=rep.err_bound, sigma_min_proj=rep.sigma_min_proj,
+                    bpdn_l1_slack=rep.bpdn_l1_slack, bpdn_violation=rep.bpdn_violation,
+                    bpdn_converged=rep.bpdn_converged, support_tie_flag=rep.support_tie_flag,
+                ))
+    finally:
+        cancel_prefetch()
     return records
+
+
+def _next_stream(seeds: list[int], trial: int) -> RngStream | None:
+    """The stream of the trial after this one at the same m, if any."""
+    return RngStream(seeds[trial + 1]) if trial + 1 < len(seeds) else None
 
 
 def sweep_records_to_csv(records: list[SweepRecord]) -> str:
@@ -301,11 +315,16 @@ def summary_to_text(summary: SweepSummary) -> str:
 
 def run_msq_baseline(cfg: SweepConfig, m: int) -> list[MsqTrialResult]:
     """MSQ baseline over the same derived seeds as the sweep at grid point m;
-    as in the sweep, a degenerate draw is a failed trial (infinite error)."""
+    as in the sweep, a degenerate draw is a failed trial (infinite error),
+    and each trial but the last starts the next one's matrix draw."""
     ens = Ensemble(cfg.ensemble)
-    return [msq_trial(ens, cfg.n, cfg.s, m, cfg.r, cfg.delta,
-                      RngStream(trial_seed(cfg.seed, m, trial)))
-            for trial in range(cfg.trials)]
+    seeds = [trial_seed(cfg.seed, m, trial) for trial in range(cfg.trials)]
+    try:
+        return [msq_trial(ens, cfg.n, cfg.s, m, cfg.r, cfg.delta, RngStream(seed),
+                          next_rng=_next_stream(seeds, trial))
+                for trial, seed in enumerate(seeds)]
+    finally:
+        cancel_prefetch()
 
 
 _CONFIG_FIELDS = {f.name for f in fields(SweepConfig)}

@@ -6,9 +6,11 @@ are deliberately left unnormalized (no 1/sqrt(m) factor).
 
 The layer keeps no state and no cache: every draw is a function of its
 arguments and the stream alone.  ``sample_matrix`` returns the whole
-m x n draw.  ``projected_draw`` returns only its product with a short
-matrix: it draws the same entries about 2 MiB of rows at a time and
-accumulates each block's product, so it never holds the m x n draw.
+m x n draw, and ``prefetch_matrix`` can start a gaussian one on the
+stream's helper thread ahead of it.  ``projected_draw`` returns only its
+product with a short matrix: it draws the same entries about 2 MiB of
+rows at a time and accumulates each block's product, so it never holds
+the m x n draw.
 """
 
 from __future__ import annotations
@@ -117,6 +119,16 @@ def sample_matrix(ensemble: Ensemble, m: int, n: int, rng: RngStream) -> np.ndar
         # correlate entries within each column, columns independent
         return _column_root(draw)
     return draw
+
+
+def prefetch_matrix(ensemble: Ensemble, m: int, n: int, rng: RngStream) -> None:
+    """Start the normals of a later sample_matrix(ensemble, m, n, rng) on
+    the helper thread (RngStream.prefetch_normals), so that call takes them
+    drawn; the stream does not move.  Only gaussian draws are prefetched:
+    rademacher and column-model draws are integer draws with no normals.
+    """
+    if ensemble.kind == "gaussian":
+        rng.prefetch_normals(m * n)
 
 
 def projected_draw(ensemble: Ensemble, w: np.ndarray, n: int, rng: RngStream) -> np.ndarray:

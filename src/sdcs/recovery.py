@@ -12,6 +12,15 @@ They share its failure rule too: a degenerate draw, whose recovered
 support submatrix is rank deficient, comes back as a failed trial
 (infinite error and bound, support not correct) rather than an exception,
 so a sweep, the baseline and a replay of one row all see the same outcome.
+
+A trial may be told the stream of the trial after it.  Once its BPDN
+stage is done it keeps only the recovered support's columns of the
+matrix, and starts the next trial's gaussian matrix draw on the random
+stream's helper thread (RngStream.prefetch_normals), where the draw
+overlaps this trial's Sobolev products, their SVD and the projection
+diagnostic.  The next trial's own draw then takes those normals.  Only
+gaussian draws of at least 65,536 normals (rng._SPLIT_MIN) are
+prefetched, and only on two CPUs; results are the same bits either way.
 """
 
 from __future__ import annotations
@@ -23,7 +32,8 @@ import numpy as np
 
 from .difference import check_exact_power, difference_power
 from .linalg import as_matrix, as_vector
-from .measurement import Ensemble, SparseSignal, sample_matrix, sample_sparse_signal
+from .measurement import (Ensemble, SparseSignal, prefetch_matrix, sample_matrix,
+                          sample_sparse_signal)
 from .quantizer import QuantizerConfig, quantization_noise_bound, sigma_delta_quantize
 from .rip import projected_matrix
 from .rng import RngStream
@@ -326,30 +336,58 @@ def draw_instance(
     return signal, phi
 
 
-def _recover(phi, signal: SparseSignal, cfg: QuantizerConfig):
-    """Quantize phi @ x with cfg, locate the support by BPDN with the
-    worst-case noise radius 2^(r-1) * delta * sqrt(m), and reconstruct on it
-    with the order-cfg.r dual.
+@dataclass(frozen=True)
+class _Trial:
+    """What _recover hands its two callers."""
 
-    Returns the BPDN result, the recovered support, whether it is the
-    signal's, the reconstruction, its l2 error and the bound
+    signal: SparseSignal
+    bpdn: BpdnResult
+    support: np.ndarray  # recovered, ascending
+    phi_t: np.ndarray  # the matrix's columns on support
+    correct: bool
+    x_hat: np.ndarray
+    err: float
+    bound: float
+
+
+def _recover(ensemble: Ensemble, n: int, s: int, m: int, r: int, delta: float,
+             rng: RngStream, cfg: QuantizerConfig, next_rng: RngStream | None) -> _Trial:
+    """Draw the instance of draw_instance(ensemble, n, s, m, r, delta, rng),
+    quantize phi @ x with cfg, locate the support by BPDN with the
+    worst-case noise radius 2^(cfg.r - 1) * delta * sqrt(m), and reconstruct
+    on it with the order-cfg.r dual.
+
+    Once BPDN returns, only the support's columns of phi are kept.  With
+    phi gone, the matrix of the instance that next_rng draws at the same
+    (ensemble, m, n) is started on the helper thread
+    (measurement.prefetch_matrix), so its draw overlaps this trial's
+    reconstruction and at most one m x n draw is alive at a time.
+
+    Reports the l2 error of the reconstruction and the bound
     delta*sqrt(m) / (2 sigma_min).  This is the one home of the failure
     rule: a degenerate draw (the dual's support submatrix is rank
     deficient, DegenerateDrawError) is a failed trial, with the support
     not correct, the reconstruction nan and the error and bound infinite.
     """
-    m = phi.shape[0]
+    signal, phi = draw_instance(ensemble, n, s, m, r, delta, rng)
     x = signal.to_dense()
     quant = sigma_delta_quantize(phi @ x, cfg)
     result = bpdn_solve(phi, quant.q, quantization_noise_bound(m, cfg))
-    t_hat = support_from(result.x, signal.support.size)
+    t_hat = support_from(result.x, s)
+    phi_t = phi[:, t_hat]
+    del phi  # its only reference: the next draw may take its place
+    if next_rng is not None:
+        prefetch_matrix(ensemble, m, n, next_rng.substream("matrix"))  # as draw_instance
     try:
-        x_hat, smin = sobolev_reconstruct(phi, t_hat, quant.q, cfg.r)
+        x_t, smin = sobolev_reconstruct(phi_t, range(s), quant.q, cfg.r)
     except DegenerateDrawError:
-        return result, t_hat, False, np.full(x.size, math.nan), math.inf, math.inf
-    correct = bool(np.array_equal(t_hat, signal.support))
-    err = float(np.linalg.norm(x - x_hat))
-    return result, t_hat, correct, x_hat, err, cfg.delta * math.sqrt(m) / (2.0 * smin)
+        return _Trial(signal, result, t_hat, phi_t, False, np.full(n, math.nan),
+                      math.inf, math.inf)
+    x_hat = np.zeros(n)
+    x_hat[t_hat] = x_t
+    return _Trial(signal, result, t_hat, phi_t, bool(np.array_equal(t_hat, signal.support)),
+                  x_hat, float(np.linalg.norm(x - x_hat)),
+                  cfg.delta * math.sqrt(m) / (2.0 * smin))
 
 
 def full_pipeline(
@@ -361,6 +399,7 @@ def full_pipeline(
     delta: float,
     alpha: float,
     rng: RngStream,
+    next_rng: RngStream | None = None,
 ) -> RecoveryReport:
     """Measure, quantize, recover, and evaluate one random instance.
 
@@ -376,30 +415,34 @@ def full_pipeline(
     ell = ceil(m * (s/m)^alpha).  A degenerate draw returns a failed
     report (see _recover) with the projection diagnostic nan and the BPDN
     diagnostics of the draw.
+
+    next_rng, if given, is the stream of the trial that follows at the same
+    (ensemble, m, n): its matrix draw starts on the helper thread while
+    this trial reconstructs.  The report does not depend on it.
     """
     if m < s:
         raise ValueError("need m >= s")
     check_exact_power(m, r)
     ell = projection_dim(m, s, alpha)  # >= s, since (s/m)^alpha >= s/m
-    signal, phi = draw_instance(ensemble, n, s, m, r, delta, rng)
-    result, t_hat, correct, x_hat, err, bound = _recover(
-        phi, signal, QuantizerConfig(r=r, delta=delta))
+    trial = _recover(ensemble, n, s, m, r, delta, rng, QuantizerConfig(r=r, delta=delta),
+                     next_rng)
+    result = trial.bpdn
     mags = np.sort(np.abs(result.x))[::-1]
     tie = bool(n > s and mags[s - 1] - mags[s] < 1e-9)
 
     smin_proj = math.nan
-    if err < math.inf:
-        proj_sub = projected_matrix(phi[:, t_hat], r, ell)
+    if trial.err < math.inf:
+        proj_sub = projected_matrix(trial.phi_t, r, ell)
         smin_proj = float(np.linalg.svd(proj_sub, compute_uv=False)[-1])
 
-    l1_slack = float(np.sum(np.abs(result.x)) - np.sum(np.abs(signal.to_dense())))
+    l1_slack = float(np.sum(np.abs(result.x)) - np.sum(np.abs(trial.signal.to_dense())))
     return RecoveryReport(
-        recovered_support=t_hat,
-        x_hat=x_hat,
-        err_l2=err,
-        err_bound=bound,
+        recovered_support=trial.support,
+        x_hat=trial.x_hat,
+        err_l2=trial.err,
+        err_bound=trial.bound,
         sigma_min_proj=smin_proj,
-        support_correct=correct,
+        support_correct=trial.correct,
         ell=ell,
         support_tie_flag=tie,
         bpdn_converged=result.converged,
@@ -416,7 +459,7 @@ class MsqTrialResult:
 
 
 def msq_trial(ensemble: Ensemble, n: int, s: int, m: int, r: int, delta: float,
-              rng: RngStream) -> MsqTrialResult:
+              rng: RngStream, next_rng: RngStream | None = None) -> MsqTrialResult:
     """Round-each-entry baseline on the identical instance.
 
     Draws the same (signal, matrix) pair as full_pipeline for the same
@@ -425,8 +468,9 @@ def msq_trial(ensemble: Ensemble, n: int, s: int, m: int, r: int, delta: float,
     order-0 dual, which is least squares on the recovered support.  The r
     argument only fixes the amplitude floor so instances match the
     feedback-quantizer runs.  A degenerate draw is a failed trial, as in
-    full_pipeline: infinite error, support not correct.
+    full_pipeline: infinite error, support not correct.  next_rng starts
+    the next trial's matrix draw early, as in full_pipeline.
     """
-    signal, phi = draw_instance(ensemble, n, s, m, r, delta, rng)
-    _, _, correct, _, err, _ = _recover(phi, signal, QuantizerConfig(r=0, delta=delta))
-    return MsqTrialResult(err_l2=err, support_correct=correct)
+    trial = _recover(ensemble, n, s, m, r, delta, rng, QuantizerConfig(r=0, delta=delta),
+                     next_rng)
+    return MsqTrialResult(err_l2=trial.err, support_correct=trial.correct)

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 from functools import cache
 
 import numpy as np
@@ -8,6 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import sdcs.difference as difference
+import sdcs.experiments as experiments
+import sdcs.rng as rng_module
+from sdcs.cli import main
 from sdcs.experiments import (
     SWEEP_CSV_COLUMNS,
     SweepConfig,
@@ -266,6 +270,107 @@ def test_msq_baseline_records_degenerate_draws_as_failed():
         assert msq_trial(Ensemble(cfg.ensemble), cfg.n, cfg.s, 2, cfg.r, cfg.delta, rng) == res
     assert failed in out
     assert all(res == failed or math.isfinite(res.err_l2) for res in out)
+
+
+# Gaussian draws of 200, 256 and 400 rows by 256 columns: below, at and
+# above the size from which the next trial's draw is prefetched.
+PREFETCH = dict(ensemble="gaussian", n=256, s=5, delta=0.01, alpha=0.7,
+                m_grid=(200, 256, 400), trials=3, seed=20240)
+
+
+def sweep_outputs(monkeypatch, cpus: int):
+    """Sweep CSVs at r = 1 and 3 and the MSQ baseline at m = 400, with the
+    helper allowed (cpus = 2) or not, and the prefetched jobs posted."""
+    posted = []
+    post = rng_module._Helper._post
+
+    def recording_post(helper, job):
+        if not job.joined:
+            posted.append(job)
+        return post(helper, job)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(rng_module, "_usable_cpus", lambda: cpus)
+        patch.setattr(rng_module._Helper, "_post", recording_post)
+        csv = [sweep_records_to_csv(run_decay_sweep(SweepConfig(r=r, **PREFETCH)))
+               for r in (1, 3)]
+        msq = run_msq_baseline(SweepConfig(r=3, **PREFETCH), 400)
+    return csv, msq, posted
+
+
+def test_prefetch_changes_no_output(monkeypatch, tmp_path):
+    on, msq_on, posted = sweep_outputs(monkeypatch, 2)
+    off, msq_off, none = sweep_outputs(monkeypatch, 1)
+    assert on == off
+    assert msq_on == msq_off
+    # two trials of three at m = 256 and 400 drew a prefetched matrix, in
+    # each sweep and in the baseline, and every prefetch was taken
+    assert len(posted) == 2 * 2 * 2 + 2
+    assert all(job.joined for job in posted)
+    assert none == []
+    header, *rows = on[1].splitlines()
+    cells = dict(zip(header.split(","), rows[-1].split(",")))
+    out = tmp_path / "replay.csv"
+    assert main(["reconstruct", "--ensemble", "gaussian", "--n", "256", "--s", "5",
+                 "--m", cells["m"], "--order", "3", "--delta", "0.01", "--alpha", "0.7",
+                 "--seed", cells["seed"], "--out", str(out)]) == 0
+    replay_header, replay_row = out.read_text().splitlines()
+    replay = dict(zip(replay_header.split(","), replay_row.split(",")))
+    shared = [c for c in header.split(",") if c in replay]
+    assert len(shared) == 13
+    assert [replay[c] for c in shared] == [cells[c] for c in shared]
+
+
+@pytest.mark.parametrize("trial_name, run", [
+    ("full_pipeline", lambda cfg: run_decay_sweep(cfg)),
+    ("msq_trial", lambda cfg: run_msq_baseline(cfg, 400)),
+])
+def test_an_interrupted_sweep_leaves_no_pending_draw(monkeypatch, trial_name, run):
+    monkeypatch.setattr(rng_module, "_usable_cpus", lambda: 2)
+    trial = getattr(experiments, trial_name)
+
+    def first_trial_then_stop(*args, **kwargs):
+        trial(*args, **kwargs)
+        assert rng_module._helper._job is not None  # the next trial's draw
+        raise RuntimeError("stopped")
+
+    monkeypatch.setattr(experiments, trial_name, first_trial_then_stop)
+    with pytest.raises(RuntimeError, match="stopped"):
+        run(SweepConfig(r=1, **dict(PREFETCH, m_grid=(400,))))
+    assert rng_module._helper._job is None
+
+
+def sweep_peak_mb(monkeypatch, cfg: SweepConfig, cpus: int, warm: bool) -> float:
+    """tracemalloc peak of run_decay_sweep(cfg), in MB."""
+    monkeypatch.setattr(rng_module, "_usable_cpus", lambda: cpus)
+    if warm:
+        run_decay_sweep(dataclasses.replace(cfg, trials=1))
+    else:
+        difference._kept.clear()
+    tracemalloc.start()
+    try:
+        run_decay_sweep(cfg)
+        return tracemalloc.get_traced_memory()[1] / 1e6
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("r", [1, 3])
+@pytest.mark.parametrize("warm", [True, False], ids=["warm", "cold"])
+def test_prefetch_holds_one_draw_at_a_time(monkeypatch, r, warm):
+    # A 3-trial sweep at m = 2000, n = 256, whose draws are 4.1 MB each.
+    # Each trial drops its draw before it prefetches the next one, and the
+    # helper keeps no job's array, so with the (m, r) state built the two
+    # peaks differ by the helper's block buffers at most.  Cold, the first
+    # trial builds D^{-r} and the basis while the next draw is pending, and
+    # the helper-off run holds no draw at that point: one draw apart, never
+    # two.
+    cfg = SweepConfig(ensemble="gaussian", n=256, s=5, r=r, delta=0.01, alpha=0.7,
+                      m_grid=(2000,), trials=3, seed=20240)
+    draw_mb = 2000 * 256 * 8 / 1e6
+    off = sweep_peak_mb(monkeypatch, cfg, 1, warm)
+    on = sweep_peak_mb(monkeypatch, cfg, 2, warm)
+    assert on < off + (draw_mb / 2 if warm else draw_mb)
 
 
 class TestConfigFile:

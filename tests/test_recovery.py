@@ -510,15 +510,17 @@ def test_projection_dim_covers_the_support(a, b, alpha):
 
 
 class TestFullPipeline:
-    def test_tiny_step_recovers_almost_exactly(self):
+    def test_tiny_step_recovers_almost_exactly(self, monkeypatch):
         # fixed instance, shrinking step: keep the amplitude floor at 0.05
         # while delta drops to 1e-8, so only the quantization noise vanishes
         rng = RngStream(101)
         signal = sample_sparse_signal(64, 3, 0.05, 0.5, rng.substream("signal"))
         phi = sample_matrix(GAUSS, 60, 64, rng.substream("matrix"))
-        _, _, correct, _, err, _ = recovery._recover(phi, signal, QuantizerConfig(r=2, delta=1e-8))
-        assert correct
-        assert err < 1e-5
+        monkeypatch.setattr(recovery, "draw_instance", lambda *args: (signal, phi))
+        trial = recovery._recover(GAUSS, 64, 3, 60, 2, 1e-8, rng,
+                                  QuantizerConfig(r=2, delta=1e-8), None)
+        assert trial.correct
+        assert trial.err < 1e-5
 
     def test_deterministic_reports(self):
         a = full_pipeline(GAUSS, 64, 3, 60, 2, 0.02, 0.7, RngStream(55))

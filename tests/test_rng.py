@@ -5,6 +5,7 @@ import subprocess
 import sys
 import threading
 import time
+import weakref
 from pathlib import Path
 from unittest import mock
 
@@ -296,16 +297,23 @@ SPLIT_SIZES = [_SPLIT_MIN, _SPLIT_MIN + 7, 5 * _NORMAL_BLOCK + 1]
 
 
 def test_threads_share_the_helper(monkeypatch):
-    # more drawing threads than cores: whoever finds the helper busy draws alone
+    # more drawing threads than cores: whoever finds the helper busy draws
+    # alone, and a prefetch is taken or dropped by whichever thread comes
+    # next; in each round some threads prefetch their draws and some do not
     monkeypatch.setattr(rng_module, "_usable_cpus", lambda: 2)
     want = {seed: [box_muller_reference(seed, 2 * sum(SPLIT_SIZES[:i]), n).tobytes()
                    for i, n in enumerate(SPLIT_SIZES)] for seed in (11, 12, 13)}
     got = {}
 
     def draw(seed):
-        for _ in range(4):
+        for k in range(4):
             s = RngStream(seed)
-            got.setdefault(seed, []).append([s.normals(n).tobytes() for n in SPLIT_SIZES])
+            row = []
+            for n in SPLIT_SIZES:
+                if (k + seed) % 2:
+                    s.prefetch_normals(n)
+                row.append(s.normals(n).tobytes())
+            got.setdefault(seed, []).append(row)
 
     old = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
@@ -321,36 +329,196 @@ def test_threads_share_the_helper(monkeypatch):
     assert got == {seed: [bytes_] * 4 for seed, bytes_ in want.items()}
 
 
-def test_helper_failure_reaches_the_caller_and_the_helper_recovers(monkeypatch):
-    monkeypatch.setattr(rng_module, "_usable_cpus", lambda: 2)
-    real = rng_module._box_muller_into
-    helper_calls = []
+def helper_first(monkeypatch, fail_first: bool):
+    """Patch the block function so that in each draw the helper computes a
+    block before the caller does, the first of them raising if fail_first.
 
-    def fail_once_in_helper(start, out, *buffers):
-        if threading.get_ident() != caller:
-            helper_calls.append(out.size)
-            if len(helper_calls) == 1:
+    Returns (blocks, next_draw): blocks lists the sizes of the helper's
+    blocks, one list per draw, and next_draw starts the next draw's list.
+    """
+    real = rng_module._box_muller_into
+    caller = threading.get_ident()
+    draws: list[list[int]] = []
+    helper_went = threading.Event()
+
+    def block(start, out, *buffers):
+        if threading.get_ident() == caller:
+            assert helper_went.wait(30.0), "the helper took no block"
+        else:
+            draws[-1].append(out.size)
+            helper_went.set()
+            if fail_first and sum(map(len, draws)) == 1:
                 raise RuntimeError("block failed")
         real(start, out, *buffers)
 
-    monkeypatch.setattr(rng_module, "_box_muller_into", fail_once_in_helper)
+    def next_draw():
+        helper_went.clear()
+        draws.append([])
+
+    monkeypatch.setattr(rng_module, "_box_muller_into", block)
+    return draws, next_draw
+
+
+def run_in_thread(fn, timeout=60.0):
+    """fn() in a thread of its own, so that a stall fails the test."""
+    errors = []
+
+    def target():
+        try:
+            fn()
+        except BaseException as exc:  # reported by the caller
+            errors.append(exc)
+
+    worker = threading.Thread(target=target, daemon=True)
+    worker.start()
+    worker.join(timeout)
+    assert not worker.is_alive(), "the draw stalled"
+    if errors:
+        raise errors[0]
+
+
+def test_helper_failure_reaches_the_caller_and_the_helper_recovers(monkeypatch):
+    monkeypatch.setattr(rng_module, "_usable_cpus", lambda: 2)
     n = _SPLIT_MIN + 1
-    caller = None
     got = []
 
-    def draws():  # in a thread of its own, so that a stall fails the test
-        nonlocal caller
-        caller = threading.get_ident()
+    def draws():
+        blocks, next_draw = helper_first(monkeypatch, fail_first=True)
+        next_draw()
         with pytest.raises(RuntimeError, match="block failed"):
             RngStream(3).normals(n)
+        next_draw()
         got.append(RngStream(3).normals(n).tobytes())
+        got.append(blocks)
 
-    worker = threading.Thread(target=draws, daemon=True)
-    worker.start()
-    worker.join(60.0)
-    assert not worker.is_alive(), "the draw after a helper failure stalled"
-    assert len(helper_calls) == 2
-    assert got == [box_muller_reference(3, 0, n).tobytes()]
+    run_in_thread(draws)
+    assert got[0] == box_muller_reference(3, 0, n).tobytes()
+    # both draws shared blocks with the helper, which outlived its failure
+    assert got[1][0][0] == _NORMAL_BLOCK and len(got[1][1]) >= 1
+
+
+def wait_until(predicate, timeout=30.0) -> bool:
+    deadline = time.monotonic() + timeout
+    while not predicate():
+        if time.monotonic() > deadline:
+            return False
+        time.sleep(0.001)
+    return True
+
+
+def pending():
+    return rng_module._helper._job
+
+
+@settings(max_examples=12, deadline=None, derandomize=True)
+@given(st.integers(_SPLIT_MIN - 3, 5 * _NORMAL_BLOCK + 3), st.integers(0, RAW_BLOCK + 3),
+       st.integers(0, 2**64 - 1), st.sampled_from([1, 2]))
+@example(_SPLIT_MIN - 1, 0, 1, 2)
+@example(_SPLIT_MIN, 0, 2, 2)
+@example(5 * _NORMAL_BLOCK + 3, 5, 4, 2)
+@example(_SPLIT_MIN, 3, 5, 1)
+def test_prefetched_draws_match_box_muller(n, c, seed, cpus):
+    want = box_muller_reference(seed, c, n).tobytes()
+    s = RngStream(seed)
+    s.uint64s(c)
+    with mock.patch.object(rng_module, "_usable_cpus", lambda: cpus):
+        s.prefetch_normals(n)
+        assert s.counter == c  # a prefetch draws nothing from the stream
+        assert (pending() is not None) == (cpus == 2 and n >= _SPLIT_MIN)
+        assert s.normals(n).tobytes() == want
+    assert s.counter == c + 2 * n
+    assert pending() is None
+
+
+def test_prefetch_is_taken_by_the_matching_draw(monkeypatch):
+    monkeypatch.setattr(rng_module, "_usable_cpus", lambda: 2)
+    n = 5 * _NORMAL_BLOCK + 3
+    s = RngStream(21)
+    s.prefetch_normals(n)
+    job = pending()
+    assert wait_until(lambda: job.next == job.stop and not job.busy)
+    caller = threading.get_ident()
+    real = rng_module._box_muller_into
+
+    def helper_only(start, out, *buffers):
+        assert threading.get_ident() != caller, "the caller redrew a prefetched block"
+        real(start, out, *buffers)
+
+    monkeypatch.setattr(rng_module, "_box_muller_into", helper_only)
+    assert s.normals(n).tobytes() == box_muller_reference(21, 0, n).tobytes()
+    assert s.counter == 2 * n
+    assert pending() is None
+
+
+@pytest.mark.parametrize("finished", [False, True], ids=["mid-draw", "finished"])
+@pytest.mark.parametrize("release", ["other size", "other stream", "stream moved on",
+                                     "serial draw", "new prefetch", "cancel"])
+def test_unclaimed_prefetch_is_released(monkeypatch, release, finished):
+    monkeypatch.setattr(rng_module, "_usable_cpus", lambda: 2)
+    n = 6 * _NORMAL_BLOCK
+    s = RngStream(31)
+    s.prefetch_normals(n)
+    job = pending()
+    array = weakref.ref(job.out)
+    if finished:  # the helper has computed every block and waits
+        assert wait_until(lambda: job.next == job.stop and not job.busy)
+    del job
+
+    def draw(stream, seed, size):  # a draw that does not take the prefetch
+        c = stream.counter
+        assert stream.normals(size).tobytes() == box_muller_reference(seed, c, size).tobytes()
+
+    if release == "other size":
+        draw(s, 31, n - 1)
+    elif release == "other stream":
+        draw(RngStream(32), 32, n)
+    elif release == "stream moved on":
+        s.uint64s(1)  # draws other than normals leave the prefetch pending
+        assert array() is not None
+        draw(s, 31, n)
+    elif release == "serial draw":
+        draw(RngStream(32), 32, 3)
+    elif release == "new prefetch":
+        RngStream(32).prefetch_normals(n)
+    else:
+        rng_module.cancel_prefetch()
+    assert wait_until(lambda: array() is None, 10.0), "the dropped draw is still alive"
+    # the dropped draw changes no later draw's bytes or counter
+    c = s.counter
+    draw(s, 31, n)
+    assert s.counter == c + 2 * n
+    assert pending() is None
+
+
+def test_helper_failure_in_a_prefetched_draw(monkeypatch):
+    monkeypatch.setattr(rng_module, "_usable_cpus", lambda: 2)
+    real = rng_module._box_muller_into
+    failed = threading.Event()
+
+    def fail_once_in_helper(start, out, *buffers):
+        if threading.get_ident() != caller and not failed.is_set():
+            failed.set()
+            raise RuntimeError("block failed")
+        real(start, out, *buffers)
+
+    monkeypatch.setattr(rng_module, "_box_muller_into", fail_once_in_helper)
+    caller = None
+    n = _SPLIT_MIN + 9
+
+    def draws():
+        nonlocal caller
+        caller = threading.get_ident()
+        s = RngStream(41)
+        s.prefetch_normals(n)
+        assert failed.wait(30.0)
+        with pytest.raises(RuntimeError, match="block failed"):
+            s.normals(n)
+        assert s.counter == 2 * n
+        s.prefetch_normals(n)  # the helper outlived its failure
+        assert s.normals(n).tobytes() == box_muller_reference(41, 2 * n, n).tobytes()
+
+    run_in_thread(draws)
+    assert pending() is None
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
@@ -360,10 +528,12 @@ def test_forked_child_starts_its_own_helper(monkeypatch):
     n = _SPLIT_MIN + 5
     want = box_muller_reference(5, 0, n).tobytes()
     assert RngStream(5).normals(n).tobytes() == want  # the helper is running
+    RngStream(5).prefetch_normals(n)  # and has a pending draw
     pid = os.fork()
     if pid == 0:  # child: report through the exit status only
         try:
-            os._exit(0 if RngStream(5).normals(n).tobytes() == want else 1)
+            fresh = pending() is None
+            os._exit(0 if fresh and RngStream(5).normals(n).tobytes() == want else 1)
         finally:
             os._exit(2)
     deadline = time.monotonic() + 60.0
@@ -374,6 +544,7 @@ def test_forked_child_starts_its_own_helper(monkeypatch):
         os.waitpid(pid, 0)
         pytest.fail("the forked child's draw did not finish")
     assert os.waitstatus_to_exitcode(done[1]) == 0
+    assert RngStream(5).normals(n).tobytes() == want  # the parent's prefetch
 
 
 def test_importing_the_cli_starts_no_thread():
