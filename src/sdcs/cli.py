@@ -248,9 +248,10 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ValueError as exc:
-        # The library and the _cmd_* checks reject bad input with ValueError;
-        # report it as a usage error (status 1) rather than a traceback.
+    except (ValueError, OSError) as exc:
+        # The library and the _cmd_* checks reject bad input with ValueError,
+        # and a file that cannot be read or written raises OSError; report
+        # either as a usage error (status 1) rather than a traceback.
         raise SystemExit(f"sdcs {args.command}: error: {exc}") from None
 
 

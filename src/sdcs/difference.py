@@ -5,27 +5,23 @@ subdiagonal); its inverse is the running-sum operator, and the r-th
 inverse power D^{-r} is applied as r running sums.  Entry (i, j) of D^{-r}
 is binomial(i - j + r - 1, r - 1) for i >= j, an integer.
 
-One piece of kept state serves the sweeps, which reuse one (m, r) across
-many trials: what was built for the last (m, r) asked for.  Building
-anything for another (m, r) empties it first, so it never holds two.
+The kept per-(m, r) state.  This docstring is its one description.  The
+sweeps reuse one (m, r) across many trials, so the module keeps what was
+built for the last (m, r) asked for, in one dict:
 
-- ``difference_power(m, r)`` is the dense D^{-r}, m*m doubles (32 MB at
-  m=2000), for the noise-shaping reconstruction.  It is filled from its
-  first column, D^{-r} e_0 taken as r running sums, which is exact while
-  every entry stays at or below 2^53; past that it raises
-  (check_exact_power);
-- ``projected_basis(m, r, ell)`` is the top-ell right singular vectors of
-  that power, ell*m doubles for each ell asked for (0.5 MB at m=2000,
-  ell=31).
+- ``difference_power(m, r)``, the dense D^{-r} (m*m doubles) that the
+  noise-shaping reconstruction multiplies by;
+- ``projected_basis(m, r, ell)``, the top-ell right singular rows of
+  D^{-r} (ell*m doubles), one for each ell asked for.
 
-At r = 1 the basis is the closed-form right singular vectors of D^{-1}.
-At higher orders it comes from Golub-Kahan-Lanczos bidiagonalization,
-which applies D^{-r} and its transpose as r running sums and keeps O(k m)
-doubles for its k steps, so no dense m x m matrix and no m x m SVD is
-formed for it.  Only where 2 ell + 8 >= m, a basis of about half the
-space or more, is it one SVD of difference_power(m, r).
+Building anything for another (m, r) empties the dict first, so it never
+holds the arrays of two (m, r), and a sweep, which visits one (m, r) at a
+time, builds each of its keys once.  Every build checks (m, r) with
+check_exact_power.  Both functions hand every caller the kept array
+itself, read-only, so a warm call copies nothing.
 
-Both return their kept array itself, read-only, shared across callers.
+The basis is formed without a dense m x m matrix or SVD except where
+2 ell + 8 >= m (see _top_right_rows).
 """
 
 from __future__ import annotations
@@ -49,9 +45,13 @@ def check_exact_power(m: int, r: int) -> None:
     """Raise ValueError unless m >= 1, r >= 1 and every entry of the r-th
     inverse power at m is an exact double.
 
-    The entries are the binomials C(k + r - 1, r - 1), k < m, increasing in
-    k, so the largest is C(m + r - 2, r - 1); doubles hold every integer up
-    to 2^53 exactly.
+    This is the one statement of the supported (m, r) envelope: the
+    library's entry points (full_pipeline, SweepConfig, difference_power
+    and projected_basis) call it.  The entries are the binomials
+    C(k + r - 1, r - 1), k < m, increasing in k, so the largest is
+    C(m + r - 2, r - 1); doubles hold every integer up to 2^53 exactly.
+    That allows m <= 368 at r = 9, m <= 4041 at r = 6 and any practical m
+    at r <= 3.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
@@ -73,12 +73,9 @@ _kept: dict[tuple[int, int, int | None], np.ndarray] = {}
 
 
 def _kept_or_built(m: int, r: int, ell: int | None, build) -> np.ndarray:
-    """The array kept under (m, r, ell), else the one build() returns, kept.
-
-    A build checks (m, r) (check_exact_power) and, for another (m, r) than
-    the kept one, first empties the kept state, so the old arrays are
-    released before the new one is made.  Kept arrays are read-only.
-    """
+    """The array kept under (m, r, ell), else the one build() returns, kept
+    (see the module docstring); the old arrays are released before the new
+    one is made."""
     key = (m, r, ell)
     if key not in _kept:
         check_exact_power(m, r)
@@ -91,14 +88,12 @@ def _kept_or_built(m: int, r: int, ell: int | None, build) -> np.ndarray:
 
 
 def difference_power(m: int, r: int) -> np.ndarray:
-    """Dense r-th inverse difference power for dimension m, kept until
-    something is built for another (m, r).
+    """Dense r-th inverse difference power for dimension m, kept (see the
+    module docstring).
 
     The power is lower-triangular Toeplitz, so it is filled from its first
     column, D^{-r} e_0, taken as r running sums.  Every partial sum is an
-    integer no larger than the largest entry, so the fill is exact where
-    check_exact_power passes; it raises ValueError elsewhere.  The returned
-    array is read-only; it is shared across callers.
+    integer no larger than the largest entry, so the fill is exact.
     """
     return _kept_or_built(m, r, None, lambda: _dense_power(m, r))
 
@@ -234,9 +229,7 @@ def _top_right_rows(m: int, r: int, ell: int) -> np.ndarray:
     - r = 1: the closed form (_order_one_rows), exact to rounding; nothing
       is factored.
     - 2 ell + 8 >= m: one SVD of difference_power(m, r), which is a
-      Rayleigh-Ritz step over the whole space.  Just below this threshold
-      Lanczos takes 1.5-4 times as long as this SVD (m = 100 to 800, one
-      BLAS thread).
+      Rayleigh-Ritz step over the whole space.
     - otherwise: Golub-Kahan-Lanczos (_lanczos_rows) in O(k m) memory.
     """
     if r == 1:
@@ -251,10 +244,8 @@ def projected_basis(m: int, r: int, ell: int) -> np.ndarray:
 
     These are the directions paired with the ell largest singular values
     (the first ell rows of V^T, up to an orthogonal change of basis within
-    their span, which no caller's result depends on).  They are kept until
-    something is built for another (m, r), and (m, r) must pass
-    check_exact_power.  The returned array is read-only; it is shared
-    across callers.
+    their span, which no caller's result depends on), kept (see the module
+    docstring).
     """
     if not 1 <= ell <= m:
         raise ValueError(f"need 1 <= ell <= {m}, got ell={ell}")

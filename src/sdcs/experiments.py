@@ -4,11 +4,8 @@ A sweep runs recovery.full_pipeline over a grid of measurement counts with
 several trials per grid point, each trial on its own derived random
 substream, so results are reproducible and independent of execution order.
 The MSQ baseline runs recovery.msq_trial on the same seeds at one grid
-point.  Both hand each trial the stream of the next one at the same m, so
-that trial's matrix draw can start while this one reconstructs (see
-recovery); rows do not depend on it.  The trial owns its failure rule: a
-degenerate draw comes back from recovery as a failed trial (infinite
-error and bound), which becomes a failed row here like any other outcome.
+point.  Both hand each trial the next trial's stream at the same m
+(next_rng), and a failed trial (see recovery) is a row like any other.
 Aggregation reports per-m medians and quartiles over the support-correct
 trials, the support recovery rate, the fitted log-log decay slope of
 median error against the oversampling ratio lambda = m/s, and the worst
@@ -26,6 +23,7 @@ import numpy as np
 from .difference import check_exact_power
 from .linalg import format_value
 from .measurement import Ensemble
+from .quantizer import QuantizerConfig
 from .recovery import MsqTrialResult, full_pipeline, msq_trial
 from .rng import RngStream, cancel_prefetch, derive_seed
 
@@ -54,8 +52,7 @@ class SweepConfig:
         Ensemble(self.ensemble)  # validates the kind
         if not 1 <= self.s <= self.n:
             raise ValueError("need 1 <= s <= n")
-        if not self.delta > 0:
-            raise ValueError("delta must be positive")
+        QuantizerConfig(self.r, self.delta)  # validates the step delta
         if not 0.0 < self.alpha <= 1.0:
             raise ValueError("alpha must lie in (0, 1]")
         if len(self.m_grid) < 1:
@@ -104,14 +101,8 @@ def trial_seed(base_seed: int, m: int, trial: int) -> int:
 
 
 def run_decay_sweep(cfg: SweepConfig) -> list[SweepRecord]:
-    """Run the pipeline over the m-grid; records come back in (m, trial) order.
-
-    A degenerate draw is a failed row (infinite error and bound), as
-    full_pipeline reports it.  Each trial but the last at its m is handed
-    the next trial's stream, so the next matrix draw starts while it
-    reconstructs; a draw still pending when the sweep ends by an exception
-    is dropped.
-    """
+    """Run the pipeline over the m-grid; records come back in (m, trial)
+    order.  Drops any pending prefetch on the way out."""
     ens = Ensemble(cfg.ensemble)
     records: list[SweepRecord] = []
     try:
@@ -314,9 +305,8 @@ def summary_to_text(summary: SweepSummary) -> str:
 
 
 def run_msq_baseline(cfg: SweepConfig, m: int) -> list[MsqTrialResult]:
-    """MSQ baseline over the same derived seeds as the sweep at grid point m;
-    as in the sweep, a degenerate draw is a failed trial (infinite error),
-    and each trial but the last starts the next one's matrix draw."""
+    """MSQ baseline over the same derived seeds as the sweep at grid point
+    m.  Drops any pending prefetch on the way out."""
     ens = Ensemble(cfg.ensemble)
     seeds = [trial_seed(cfg.seed, m, trial) for trial in range(cfg.trials)]
     try:
@@ -346,8 +336,11 @@ def parse_config_text(text: str) -> dict[str, str]:
             raise ValueError(f"config line {lineno}: unknown key {key!r}")
         if key in seen:
             raise ValueError(f"config line {lineno}: key {key!r} repeats line {seen[key]}")
+        val = val.strip()
+        if not val:
+            raise ValueError(f"config line {lineno}: key {key!r} has no value")
         seen[key] = lineno
-        values[key] = val.strip()
+        values[key] = val
     return values
 
 

@@ -6,21 +6,22 @@ of the support submatrix reconstructs the coefficients; it is the left
 inverse minimizing the operator norm against the r-th order difference,
 which is what makes feedback-quantization noise nearly invisible to it.
 
-Both trials share that recovery: full_pipeline at order r >= 1, and
-msq_trial, the round-each-entry baseline, at order 0 on the same instance.
-They share its failure rule too: a degenerate draw, whose recovered
-support submatrix is rank deficient, comes back as a failed trial
-(infinite error and bound, support not correct) rather than an exception,
-so a sweep, the baseline and a replay of one row all see the same outcome.
+Both trials share that recovery (_recover): full_pipeline at order
+r >= 1, and msq_trial, the round-each-entry baseline, at order 0 on the
+same instance.
 
-A trial may be told the stream of the trial after it.  Once its BPDN
-stage is done it keeps only the recovered support's columns of the
-matrix, and starts the next trial's gaussian matrix draw on the random
-stream's helper thread (RngStream.prefetch_normals), where the draw
-overlaps this trial's Sobolev products, their SVD and the projection
-diagnostic.  The next trial's own draw then takes those normals.  Only
-gaussian draws of at least 65,536 normals (rng._SPLIT_MIN) are
-prefetched, and only on two CPUs; results are the same bits either way.
+The failure rule.  This docstring is its one statement.  A degenerate
+draw, whose recovered support submatrix makes the dual rank deficient
+(sobolev_reconstruct raises DegenerateDrawError), is a failed trial, not
+an exception: the support is not correct, the reconstruction is nan and
+the error and bound are infinite.  full_pipeline also reports
+sigma_min_proj as nan, with the BPDN diagnostics of the draw.  So the
+sweep and the baseline record it as a row and go on, SweepRecord.failed
+reads it back from the CSV (err_l2 is infinite), and
+``sdcs reconstruct --seed`` replays a failed row like any other.
+
+A trial handed the next trial's stream (next_rng) starts that trial's
+matrix draw early (see _recover); results do not depend on it.
 """
 
 from __future__ import annotations
@@ -91,7 +92,9 @@ def bpdn_solve(phi, q, epsilon: float) -> BpdnResult:
     reaches 0.  With epsilon = 0 the residual event is a double root at
     lam = 0, so the path simply runs to lam = 0; a coefficient that ends
     there within the rounding of its least-squares solve of 0 leaves at
-    the stop.
+    the stop.  So the solver has no tolerance or iteration count to set,
+    only a step cap that scales with min(m, n); each step costs one thin
+    SVD of the active columns and one product with phi^T.
 
     Degenerate inputs: a column that has just left may not rejoin on its
     old side in the next piece (its correlation still sits at that level);
@@ -332,8 +335,13 @@ def draw_instance(
     """
     floor = (2.0 ** (r - 0.5)) * delta
     signal = sample_sparse_signal(n, s, floor, 10.0 * floor, rng.substream("signal"))
-    phi = sample_matrix(ensemble, m, n, rng.substream("matrix"))
+    phi = sample_matrix(ensemble, m, n, _matrix_stream(rng))
     return signal, phi
+
+
+def _matrix_stream(rng: RngStream) -> RngStream:
+    """The substream a trial's measurement matrix is drawn from."""
+    return rng.substream("matrix")
 
 
 @dataclass(frozen=True)
@@ -355,19 +363,13 @@ def _recover(ensemble: Ensemble, n: int, s: int, m: int, r: int, delta: float,
     """Draw the instance of draw_instance(ensemble, n, s, m, r, delta, rng),
     quantize phi @ x with cfg, locate the support by BPDN with the
     worst-case noise radius 2^(cfg.r - 1) * delta * sqrt(m), and reconstruct
-    on it with the order-cfg.r dual.
+    on it with the order-cfg.r dual; report the l2 error and the bound
+    delta*sqrt(m) / (2 sigma_min), or a failed trial (module docstring).
 
-    Once BPDN returns, only the support's columns of phi are kept.  With
-    phi gone, the matrix of the instance that next_rng draws at the same
-    (ensemble, m, n) is started on the helper thread
-    (measurement.prefetch_matrix), so its draw overlaps this trial's
-    reconstruction and at most one m x n draw is alive at a time.
-
-    Reports the l2 error of the reconstruction and the bound
-    delta*sqrt(m) / (2 sigma_min).  This is the one home of the failure
-    rule: a degenerate draw (the dual's support submatrix is rank
-    deficient, DegenerateDrawError) is a failed trial, with the support
-    not correct, the reconstruction nan and the error and bound infinite.
+    Once BPDN returns, only the support's columns of phi are kept, and the
+    matrix that next_rng's trial draws at the same (ensemble, m, n) is
+    prefetched (measurement.prefetch_matrix).  So that draw overlaps this
+    trial's reconstruction, and at most one m x n draw is alive at a time.
     """
     signal, phi = draw_instance(ensemble, n, s, m, r, delta, rng)
     x = signal.to_dense()
@@ -377,7 +379,7 @@ def _recover(ensemble: Ensemble, n: int, s: int, m: int, r: int, delta: float,
     phi_t = phi[:, t_hat]
     del phi  # its only reference: the next draw may take its place
     if next_rng is not None:
-        prefetch_matrix(ensemble, m, n, next_rng.substream("matrix"))  # as draw_instance
+        prefetch_matrix(ensemble, m, n, _matrix_stream(next_rng))
     try:
         x_t, smin = sobolev_reconstruct(phi_t, range(s), quant.q, cfg.r)
     except DegenerateDrawError:
@@ -401,24 +403,15 @@ def full_pipeline(
     rng: RngStream,
     next_rng: RngStream | None = None,
 ) -> RecoveryReport:
-    """Measure, quantize, recover, and evaluate one random instance.
-
-    The instance comes from draw_instance (amplitude floor
-    2^(r - 1/2) * delta), and the denoising radius is the worst-case
-    quantization noise 2^(r-1) * delta * sqrt(m).  The order r is at least
-    1, and (m, r) must keep the inverse difference power exact
-    (check_exact_power).
+    """Measure, quantize, recover, and evaluate one random instance (see
+    _recover), at an (m, r) that check_exact_power accepts.
 
     Reports reconstruction error, the deterministic error bound for the
     recovered support, and the smallest singular value of the scaled
     ell-row projection of the support submatrix, with
-    ell = ceil(m * (s/m)^alpha).  A degenerate draw returns a failed
-    report (see _recover) with the projection diagnostic nan and the BPDN
-    diagnostics of the draw.
-
+    ell = ceil(m * (s/m)^alpha), or a failed trial (module docstring).
     next_rng, if given, is the stream of the trial that follows at the same
-    (ensemble, m, n): its matrix draw starts on the helper thread while
-    this trial reconstructs.  The report does not depend on it.
+    (ensemble, m, n); the report does not depend on it.
     """
     if m < s:
         raise ValueError("need m >= s")
@@ -463,13 +456,12 @@ def msq_trial(ensemble: Ensemble, n: int, s: int, m: int, r: int, delta: float,
     """Round-each-entry baseline on the identical instance.
 
     Draws the same (signal, matrix) pair as full_pipeline for the same
-    stream and runs the same recovery with the order-0 quantizer: each
-    entry rounded on its own, the noise radius delta*sqrt(m)/2, and the
-    order-0 dual, which is least squares on the recovered support.  The r
-    argument only fixes the amplitude floor so instances match the
-    feedback-quantizer runs.  A degenerate draw is a failed trial, as in
-    full_pipeline: infinite error, support not correct.  next_rng starts
-    the next trial's matrix draw early, as in full_pipeline.
+    stream and runs the same recovery (_recover) with the order-0
+    quantizer: each entry rounded on its own, the noise radius
+    delta*sqrt(m)/2, and the order-0 dual, which is least squares on the
+    recovered support.  The r argument only fixes the amplitude floor so
+    instances match the feedback-quantizer runs.  next_rng is as in
+    full_pipeline.
     """
     trial = _recover(ensemble, n, s, m, r, delta, rng, QuantizerConfig(r=0, delta=delta),
                      next_rng)

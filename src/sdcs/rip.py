@@ -7,9 +7,10 @@ matrices G_T from 1.  Exact computation enumerates supports (exponential in
 s, capped); the Monte Carlo variant maximizes over sampled supports and
 therefore never exceeds the exact value.
 
-Both scans run one solve step that solves only the supports that can set
-the maximum.  By Gershgorin's theorem, and because G_T is positive
-semidefinite, a support's deviation is at most
+RIC pruning.  This docstring is its one description.  Both scans run one
+solve step that solves only the supports that can set the maximum.  By
+Gershgorin's theorem, and because G_T is positive semidefinite, a
+support's deviation is at most
 max(max_i R_i - 1, 1 - max(min_i (2 G_ii - R_i), 0)), with R_i the absolute
 row sums of G_T.  The step solves supports with eigvalsh in descending
 order of that bound and stops once the next bound plus a rounding margin
@@ -30,9 +31,9 @@ Normalization is always the caller's job: nothing here rescales inputs,
 except for projected_matrix whose 1/sqrt(ell) factor is part of its
 definition.
 
-small_ball_probe draws its columns through measurement.projected_draw, in
-row blocks of about 2 MiB, and keeps only their ell-row projection; the
-scans take a matrix the caller has drawn whole.
+small_ball_probe draws its columns through measurement.projected_draw and
+keeps only their ell-row projection; the scans take a matrix the caller
+has drawn whole.
 """
 
 from __future__ import annotations

@@ -1,7 +1,11 @@
 """Deterministic counter-based random number generation.
 
-A stream keyed by a 64-bit integer produces draw number i as
-``mix64(key + (i + 1) * GAMMA)`` where ``mix64`` is the SplitMix64
+This docstring is the one description of the streams' reproducibility and
+of the helper thread that draws normals; the rest of the package refers
+here.
+
+Reproducibility.  A stream keyed by a 64-bit integer produces draw number
+i as ``mix64(key + (i + 1) * GAMMA)`` where ``mix64`` is the SplitMix64
 finalizer.  Every output is a pure function of (key, position), so bulk
 generation vectorizes over positions and two runs with the same seed give
 the same sequences regardless of chunking.  The integer draws (uint64s,
@@ -11,25 +15,36 @@ every platform.  normals goes through numpy's elementwise log and cos,
 whose last bits depend on the math library (libm, or numpy's SIMD kernels
 for the CPU); it, and everything computed from it through BLAS, is
 bitwise reproducible only with the same math library and the same BLAS
-thread count.
+thread count.  Substreams are derived by hashing a label into a fresh
+key, which gives independent streams for e.g. per-trial parallelism
+without coordination.
 
-Normals are computed a block of at most ``_NORMAL_BLOCK`` at a time, each
-block's radius draws and then its angle draws.  A draw of four blocks or
-more is shared with one kept daemon helper thread, when the process may
-run on two CPUs: the two threads claim its blocks one at a time under a
-lock, the helper from the front and the caller from the back, until none
-is left.  ``prefetch_normals`` starts a stream's next draw on the helper
-alone and leaves the counter where it is; the normals call at that
-counter and size joins it and takes its array.  One draw at most is
-pending.  Any other normals call, a new prefetch and ``cancel_prefetch``
-drop it: no block is claimed after that, and once the helper's current
-block is done, nothing refers to its array.  A forked child starts with a
-fresh helper and nothing pending.  Each normal goes through the same
-ufuncs on the same raw draws whichever thread computes it, so the outputs
-and the counter do not depend on the helper.
+The helper thread.  Normals are computed a block of at most
+``_NORMAL_BLOCK`` (16,384) at a time, each block's radius draws and then
+its angle draws.  One kept daemon thread, started by the first draw that
+uses it and never at import, helps with the draws of at least
+``_SPLIT_MIN`` normals (four blocks, 65,536) when the process may run on
+two CPUs; smaller draws, and every draw on one CPU, run on the calling
+thread alone.
 
-Substreams are derived by hashing a label into a fresh key, which gives
-independent streams for e.g. per-trial parallelism without coordination.
+- Split draws.  A normals call shares its draw with the helper: the two
+  threads claim its blocks one at a time under a lock, the helper from the
+  front and the caller from the back, until none is left.
+- Prefetch.  ``prefetch_normals`` starts a stream's next draw on the
+  helper alone and leaves the counter where it is; the normals call at
+  that (key, counter, n) joins it and takes its array.  One draw at most
+  is pending.  Any other normals call, a new prefetch and
+  ``cancel_prefetch`` drop it: no block is claimed after that, and once
+  the helper's current block is done, nothing refers to its array.
+- While one thread draws with the helper, another thread's draws and
+  prefetches run without it.
+- A forked child starts with a fresh helper and nothing pending.
+- The helper keeps its block buffers; a caller that draws with it
+  allocates its own for the call.
+
+Each normal goes through the same ufuncs on the same raw draws whichever
+thread computes it, so the outputs and the counter do not depend on the
+helper.
 """
 
 from __future__ import annotations
@@ -58,9 +73,8 @@ _ANGLE = 2.0 * math.pi * _TWO_NEG53
 # too often: on a 2-core x86_64 VM, an 800 x 256 draw took 1.2-1.3x less
 # time than one thread with 8192 and 1.6x less with 16384.
 _NORMAL_BLOCK = 16384
-# Draws of at least this many normals are shared with the helper thread,
-# and only those are prefetched; shorter ones (at most three blocks) gain
-# less than the handoff costs.
+# The smallest draw the helper takes: shorter ones (at most three blocks)
+# gain less than the handoff costs.
 _SPLIT_MIN = 4 * _NORMAL_BLOCK
 # _STEPS[j] = (j + 1) * GAMMA mod 2^64, so draw j (from 0) after the first
 # c draws of a stream is mix64(key + c * GAMMA + _STEPS[j]).
@@ -178,39 +192,26 @@ class RngStream:
         """n standard normal variates via the Box-Muller transform.
 
         Consumes exactly 2n raw draws: draw 2i feeds the radius (mapped
-        to (0, 1] so the log is finite), draw 2i+1 the angle.  Blocks of
-        _NORMAL_BLOCK normals are computed in turn, each as its radii into
-        scratch, then its angles and their cosines straight into the
-        output.  The draw a prefetch_normals(n) call left pending at this
-        counter is joined and its array returned.  Otherwise a draw of at
-        least _SPLIT_MIN normals has its blocks claimed one at a time by
-        this thread and the helper thread, when the helper is free and two
-        CPUs are allowed.  The outputs and the counter are the same either
-        way.
+        to (0, 1] so the log is finite), draw 2i+1 the angle.  Takes a
+        pending prefetch of this draw or shares it with the helper thread
+        (see the module docstring); the outputs are the same either way.
         """
         if n < 0:
             raise ValueError("n must be >= 0")
         tag = (self._key, self._counter, n)
         start = self._advance(2 * n)
-        out = _helper.take(tag, n >= _SPLIT_MIN and _usable_cpus() >= 2)
+        out = _helper.take(tag, _helper_eligible(n))
         if out is None:
             out = np.empty(n)
             _box_muller_into(start, out, *_scratch(min(n, _NORMAL_BLOCK)))
         return out
 
     def prefetch_normals(self, n: int) -> None:
-        """Start the next normals(n) of this stream on the helper thread.
-
-        The counter does not move.  The helper computes the draw's blocks
-        while the caller goes on; the normals(n) call at this (key,
-        counter) takes them, and any other normals call, another prefetch
-        or cancel_prefetch drops them.  Only one draw is pending at a
-        time.  Does nothing below _SPLIT_MIN normals, on one CPU, or while
-        another thread draws with the helper.
-        """
+        """Start the next normals(n) of this stream on the helper thread,
+        without moving the counter (see the module docstring)."""
         if n < 0:
             raise ValueError("n must be >= 0")
-        if n >= _SPLIT_MIN and _usable_cpus() >= 2:
+        if _helper_eligible(n):
             _helper.prefetch((self._key, self._counter, n))
 
     def rademacher(self, n: int) -> np.ndarray:
@@ -319,10 +320,15 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
+def _helper_eligible(n: int) -> bool:
+    """Whether a draw of n normals may use the helper thread."""
+    return n >= _SPLIT_MIN and _usable_cpus() >= 2
+
+
 class _Job:
-    """The normals(n) call at (key, counter, n) = tag, as blocks of
-    _NORMAL_BLOCK normals that the caller and the helper claim one at a
-    time; joined once a normals call is drawing it.
+    """The normals(n) call at (key, counter, n) = tag, as the blocks that
+    the caller and the helper claim; joined once a normals call is drawing
+    it.
 
     Blocks next to stop - 1 are unclaimed.  The helper claims from the
     front and the caller from the back, so each writes one contiguous run
@@ -348,19 +354,9 @@ class _Job:
 
 
 class _Helper:
-    """One kept daemon thread that computes blocks of at most one job.
-
-    A job posted by normals is joined at once: the caller and the thread
-    claim its blocks under one lock until none is left (see _Job), and the
-    caller then waits out the thread's last block.  A job posted by
-    prefetch_normals is pending: the thread alone works through it until
-    the normals call with its (key, counter, n) joins it.  A pending job is
-    dropped by any other normals call, by a new prefetch and by
-    cancel_prefetch: no block is claimed after that, and once the thread's
-    current block is done nothing refers to the job's array.  The thread is
-    started by the first job, never at import, and its buffers are
-    allocated once and kept.
-    """
+    """The helper thread of the module docstring, working on at most one
+    job: joined at once when normals posts it, pending when
+    prefetch_normals does."""
 
     def __init__(self):
         self._lock = threading.Lock()
@@ -473,8 +469,7 @@ _helper = _Helper()
 
 
 def _forget_helper() -> None:
-    """In a forked child the helper thread does not exist: start afresh,
-    with no pending draw."""
+    """Start a forked child with a fresh helper (its thread is not there)."""
     global _helper
     _helper = _Helper()
 
@@ -484,8 +479,7 @@ if hasattr(os, "register_at_fork"):
 
 
 def cancel_prefetch() -> None:
-    """Drop the draw a prefetch_normals call left pending, if any: no block
-    of it is computed after this returns, and its array is released."""
+    """Drop the draw a prefetch_normals call left pending, if any."""
     _helper.cancel()
 
 

@@ -12,8 +12,9 @@ import math
 import numpy as np
 import pytest
 
-from oracles import difference_matrix, inverse_difference_power, singular_profile
+from oracles import U, difference_matrix, gamma, inverse_difference_power, singular_profile
 from sdcs.cli import main as cli_main
+from sdcs.difference import projected_basis
 from sdcs.experiments import (
     SweepConfig,
     run_decay_sweep,
@@ -22,7 +23,7 @@ from sdcs.experiments import (
 )
 from sdcs.measurement import Ensemble, sample_matrix
 from sdcs.quantizer import QuantizerConfig, sigma_delta_quantize
-from sdcs.recovery import bpdn_solve, projection_dim
+from sdcs.recovery import bpdn_solve, draw_instance, projection_dim
 from sdcs.rip import projected_matrix, ric_exact, ric_monte_carlo, small_ball_probe
 from sdcs.rng import RngStream
 
@@ -124,6 +125,80 @@ def test_criterion_3_error_bound_dominates(sweep_r1, sweep_r2):
     ok = len(correct) > 0 and not exceptions
     report(3, ok, f"{len(correct)} support-correct trials, "
                   f"{len(exceptions)} bound violations (0 allowed)")
+    assert ok
+
+
+def test_criterion_3b_rip_chain_to_the_rate(sweep_r1):
+    """At r = 1, on every support-correct row:
+    err_l2 <= bound_eq3 <= bound_rip <= (pi/2) delta (m/ell)^(-1/2) / sigma_min_proj.
+
+    Let A = D^{-1} Phi_T, W the top-ell right singular rows of D^{-1} and
+    P = W Phi_T / sqrt(ell), so sigma_min_proj = sigma_min(P).  Since
+    ||A x|| >= sigma_ell ||W Phi_T x||, sigma_min(A) >= sigma_ell sqrt(ell)
+    sigma_min(P), which is bound_eq3 <= bound_rip = delta sqrt(m) /
+    (2 sigma_ell sqrt(ell) sigma_min(P)).  With sigma_ell = 1 / (2 sin theta),
+    theta = (2 ell - 1) pi / (4m + 2) < pi/2, and sin theta <= theta,
+    bound_rip / rate = 2 m sin(theta) / (pi ell) <= (2 ell - 1) m /
+    (ell (2m + 1)) < 1.
+
+    Margins (u = 2^-53, gamma(k) = k u / (1 - k u); libm's sin and cos
+    within 4 ulps).  The last link compares two closed forms, so only the
+    roundings of theta, sin and the dozen operations of the two formulas
+    enter: gamma(24) relative.  For the middle link, the computed
+    singular values are exact for perturbed matrices (Weyl):
+    - A: the dense product errs by gamma(m) D^{-1} |Phi_T| entrywise
+      (Higham (3.13), D^{-1} >= 0), and the SVD's backward error is
+      beta_k ||A||, beta_k = sqrt(s) gamma(k s) for k rows, as in
+      test_err_l2_is_the_forward_error_within_its_rounding; ||A|| <=
+      ||D^{-1} |Phi_T| ||_F.
+    - P: W's closed-form entries (2 / sqrt(2m + 1)) cos(angle) err by at
+      most 2/sqrt(2m + 1) ((2 pi gamma(3) + 8u)(1 + gamma(3)) + gamma(3))
+      (an angle below 2 pi after three roundings, cos, the scale and the
+      product); W Phi_T errs by gamma(m) |W| |Phi_T|, the division by
+      sqrt(ell) by gamma(2), and its SVD has backward error beta_ell ||P||.
+    The norms the test takes to bound these are widened by their own
+    rounding; the relative slack then is (E_A + sigma_ell sqrt(ell) E_P) /
+    sigma_min(A), plus gamma(30) for the two bounds' own formulas.
+    """
+    gauss = Ensemble("gaussian")
+    norm = np.linalg.norm
+    ratios, violations = [], 0
+    for rec in sweep_r1:
+        if not rec.support_correct:
+            continue
+        m, s, ell, delta = rec.m, rec.s, rec.ell, rec.delta
+        sig, phi = draw_instance(gauss, rec.n, s, m, 1, delta, RngStream(rec.seed))
+        phi_t = phi[:, sig.support]
+        proj = projected_matrix(phi_t, 1, ell)
+        sproj = rec.sigma_min_proj
+        sig_ell = 1.0 / (2.0 * math.sin((2 * ell - 1) * math.pi / (4 * m + 2)))
+        bound_rip = delta * math.sqrt(m) / (2.0 * sig_ell * math.sqrt(ell) * sproj)
+        rate = math.pi / 2.0 * delta * math.sqrt(ell / m) / sproj
+
+        smin_a = delta * math.sqrt(m) / (2.0 * rec.bound_eq3) * (1.0 - gamma(6))
+        n_a = norm(np.cumsum(np.abs(phi_t), axis=0)) / (1.0 - gamma((1 + s) * m))
+        e_a = (gamma(m) + math.sqrt(s) * gamma(m * s) * (1.0 + gamma(m))) * n_a
+        w_err = (2.0 / math.sqrt(2 * m + 1)) * (
+            (2.0 * math.pi * gamma(3) + 8.0 * U) * (1.0 + gamma(3)) + gamma(3)) * (1.0 + gamma(4))
+        dw = math.sqrt(ell * m) * w_err
+        phi_f = norm(phi_t) / (1.0 - gamma(m * s))
+        prod = norm(np.abs(projected_basis(m, 1, ell)) @ np.abs(phi_t)) / (1.0 - gamma(m + ell * s))
+        n_p = norm(proj) / (1.0 - gamma(ell * s))
+        e_p = ((dw * phi_f + gamma(m) * prod) / math.sqrt(ell)
+               + (gamma(2) / (1.0 - gamma(2)) + math.sqrt(s) * gamma(ell * s)) * n_p)
+        slack = (e_a + sig_ell / (1.0 - gamma(12)) * math.sqrt(ell) * e_p) / smin_a + gamma(30)
+
+        violations += not (rec.err_l2 <= rec.bound_eq3
+                           and rec.bound_eq3 <= bound_rip * (1.0 + slack)
+                           and bound_rip <= rate * (1.0 + gamma(24)))
+        ratios.append((bound_rip / rec.bound_eq3, rate / bound_rip, slack))
+    assert ratios, "no support-correct rows"
+    rip_over_eq3, rate_over_rip, slacks = zip(*ratios)
+    ok = violations == 0
+    report(3, ok, f"r=1 chain err <= bound_eq3 <= bound_rip <= rate: {violations} violations "
+                  f"on {len(ratios)} support-correct rows; min bound_rip/bound_eq3 "
+                  f"{min(rip_over_eq3):.3f}, min rate/bound_rip {min(rate_over_rip):.4f}, "
+                  f"max slack {max(slacks):.1e}")
     assert ok
 
 

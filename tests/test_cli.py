@@ -1,4 +1,5 @@
 import os
+import shlex
 import subprocess
 import sys
 
@@ -279,6 +280,8 @@ def test_sweep_config_order_above_cap(tmp_path):
     (["gen", "--kind", "signal", "--n", "4", "--s", "9", "--floor", "0.5", "--seed", "1"],
      "gen", "need 1 <= s <= n"),
     (["sweep"], "sweep", "missing sweep parameters"),
+    (["quantize", "--order", "1", "--delta", "0.5", "--input", "missing.txt"],
+     "quantize", "[Errno 2] No such file or directory: 'missing.txt'"),
 ])
 def test_library_value_errors_exit_with_usage_message(args, cmd, why):
     assert usage_error(args).startswith(f"sdcs {cmd}: error: {why}")
@@ -321,3 +324,24 @@ def test_module_entry_point(tmp_path):
     )
     assert out.returncode == 0
     assert out.stdout.splitlines()[0] == "2 3"
+
+
+def readme_commands():
+    """The sdcs invocations of README's command-line block, continuation
+    lines joined, as argument lists without the program name."""
+    readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(readme) as fh:
+        text = fh.read()
+    block = text.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = block.replace("\\\n", " ").splitlines()
+    return [shlex.split(ln)[1:] for ln in lines if ln.startswith("sdcs ")]
+
+
+def test_readme_command_line_block_runs(tmp_path, monkeypatch, capsys):
+    # the block must create every file it reads, in the order it runs
+    commands = readme_commands()
+    assert len(commands) == 8
+    monkeypatch.chdir(tmp_path)
+    for args in commands:
+        assert main(args) == 0, args
+    assert "log-log slope" in capsys.readouterr().out

@@ -57,6 +57,10 @@ def test_config_validation():
     with pytest.raises(ValueError, match="ensemble"):
         SweepConfig(ensemble="uniform", n=16, s=2, r=1, delta=0.1, alpha=0.5,
                     m_grid=(8,), trials=1, seed=0)
+    # the quantizer's rule for delta, checked before any trial runs
+    with pytest.raises(ValueError, match="delta must be finite and positive"):
+        SweepConfig(ensemble="gaussian", n=16, s=2, r=1, delta=math.inf, alpha=0.5,
+                    m_grid=(8,), trials=1, seed=0)
     # the grid's largest m sets the largest entry of D^{-r}, C(m + r - 2, r - 1)
     with pytest.raises(ValueError, match=r"C\(2007, 8\) = 6.44e\+21, exceeds 2\^53"):
         SweepConfig(ensemble="gaussian", n=16, s=2, r=9, delta=0.1, alpha=0.5,
@@ -399,6 +403,10 @@ seed = 11
     def test_repeated_key(self):
         with pytest.raises(ValueError, match="line 3: key 'n' repeats line 1"):
             parse_config_text("n = 16\ns = 2\nn = 32\n")
+
+    def test_empty_value(self):
+        with pytest.raises(ValueError, match="line 2: key 'output' has no value"):
+            parse_config_text("n = 16\noutput =\n")
 
     def test_missing_equals(self):
         with pytest.raises(ValueError, match="key = value"):
