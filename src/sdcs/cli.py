@@ -14,6 +14,7 @@ interesting regime is small r.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 import numpy as np
@@ -44,6 +45,18 @@ def _write(text: str, path: str | None) -> None:
     else:
         with open(path, "w", newline="\n") as fh:
             fh.write(text)
+
+
+def _check_writable(path: str | None) -> None:
+    """Raise the OSError that _write(text, path) would, without writing:
+    an existing file is left as it is, and a new one is not left behind."""
+    if path is None or path == "-":
+        return
+    existed = os.path.exists(path)
+    with open(path, "a"):
+        pass
+    if not existed:
+        os.remove(path)
 
 
 def _read(path: str) -> str:
@@ -153,6 +166,7 @@ def _cmd_sweep(args) -> int:
     cfg = build_sweep_config(values)
     if cfg.r not in _ORDER_CHOICES:  # the config file can set r as well as --order
         raise ValueError("order must be 1, 2, or 3")
+    _check_writable(cfg.output)  # before the trials, not after them
     records = run_decay_sweep(cfg)
     _write(sweep_records_to_csv(records), cfg.output)
     return 0

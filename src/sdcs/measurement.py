@@ -7,9 +7,9 @@ are deliberately left unnormalized (no 1/sqrt(m) factor).
 The layer keeps no state and no cache: every draw is a function of its
 arguments and the stream alone.  ``sample_matrix`` returns the whole
 m x n draw, and ``prefetch_matrix`` can start a gaussian one on the
-stream's helper thread ahead of it.  ``projected_draw`` returns only its
-product with a short matrix, drawn in row blocks, so it never holds the
-m x n draw.
+stream's helper thread ahead of it.  ``column_windows`` yields the same
+draw a few columns at a time, bit for bit, so it never holds the m x n
+draw (see the column windows of ``sdcs.rng``).
 """
 
 from __future__ import annotations
@@ -19,18 +19,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import as_matrix
 from .rng import RngStream
 
 ENSEMBLE_KINDS = ("gaussian", "rademacher", "column-model")
 # Off-diagonal of the column-model covariance; below 1/2, so it is positive
 # definite for every m.
 _COLUMN_CORR = 0.3
-# Entries per block of projected_draw (2 MiB of doubles).  The block's
-# rows are the inner dimension of each product; at 1 MiB (13 rows for 10^4
-# columns) the small-ball probe ran about 7% slower than one whole draw in
-# a fresh process, at 2 MiB about 2%.
-_DRAW_BLOCK = 1 << 18
+# Entries per window of column_windows: 256 KiB of doubles, so a window with
+# its raw draws and Box-Muller scratch takes about 1 MiB.
+_WINDOW = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -128,30 +125,21 @@ def prefetch_matrix(ensemble: Ensemble, m: int, n: int, rng: RngStream) -> None:
         rng.prefetch_normals(m * n)
 
 
-def projected_draw(ensemble: Ensemble, w: np.ndarray, n: int, rng: RngStream) -> np.ndarray:
-    """w @ sample_matrix(ensemble, w.shape[1], n, rng), without the m x n draw.
-
-    The base draws of sample_matrix, taken from the stream in the same
-    order, arrive about 2 MiB of rows at a time, and each block adds
-    w'[:, rows] @ block, with w' = w, or for column-model w' = w S^(1/2)
-    (the root is symmetric, so w S^(1/2) = (S^(1/2) w^T)^T).  The stream ends
-    at the same counter as after sample_matrix, and the result differs from
-    its product only by the rounding of the blocked sum (and, for
-    column-model, of applying the root to w instead of the draw).  Holds
-    w'.shape[0] * n doubles plus one block.
-    """
-    w = as_matrix(w, "w")
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    m = w.shape[1]
-    if ensemble.kind == "column-model":
-        w = _column_root(w.T).T
-    rows = max(1, _DRAW_BLOCK // n)
-    out = np.zeros((w.shape[0], n))
-    for lo in range(0, m, rows):
-        hi = min(m, lo + rows)
-        out += w[:, lo:hi] @ _base_draw(ensemble, (hi - lo) * n, rng).reshape(hi - lo, n)
-    return out
+def column_windows(ensemble: Ensemble, m: int, n: int, rng: RngStream):
+    """Yield (c0, sample_matrix(ensemble, m, n, rng)[:, c0:c1]) over windows
+    of consecutive columns, about _WINDOW entries each, bit for bit, each
+    formed from its own draws.  Once the last window is taken, the stream is
+    where sample_matrix leaves it."""
+    if m < 1 or n < 1:
+        raise ValueError("m and n must be >= 1")
+    normal = ensemble.kind == "gaussian"
+    width = max(1, _WINDOW // m)
+    for c0 in range(0, n, width):
+        window = rng._window(m, n, c0, min(n, c0 + width), normal)
+        if ensemble.kind == "column-model":
+            window = _column_root(window)
+        yield c0, window
+    rng._advance((2 if normal else 1) * m * n)  # a normal takes two raw draws
 
 
 def sample_sparse_signal(

@@ -181,7 +181,7 @@ def bpdn_solve(phi, q, epsilon: float) -> BpdnResult:
         join[:, active] = math.inf
         if left is not None:
             join[left] = math.inf
-        if settled:
+        if settled or len(active) == m:  # m active columns span R^m: none can join
             join[:] = math.inf
         joined = None
         while True:

@@ -31,9 +31,9 @@ Normalization is always the caller's job: nothing here rescales inputs,
 except for projected_matrix whose 1/sqrt(ell) factor is part of its
 definition.
 
-small_ball_probe draws its columns through measurement.projected_draw and
-keeps only their ell-row projection; the scans take a matrix the caller
-has drawn whole.
+small_ball_probe draws its columns through measurement.column_windows and
+keeps only their squared projected norms; the scans take a matrix the
+caller has drawn whole.
 """
 
 from __future__ import annotations
@@ -47,7 +47,7 @@ import numpy as np
 
 from .difference import projected_basis
 from .linalg import as_matrix
-from .measurement import Ensemble, projected_draw
+from .measurement import Ensemble, column_windows
 from .rng import RngStream
 
 ENUMERATION_CAP = 10**6
@@ -276,12 +276,17 @@ def small_ball_probe(
 
     A healthy ensemble keeps the lower quantiles well away from zero;
     for entrywise-independent unit-variance ensembles the mean is ell.
-    The columns are drawn and projected in row blocks (projected_draw), so
-    the probe holds ell * trials doubles plus one block, not m * trials.
+    The columns are sample_matrix(ensemble, m, trials, rng)'s, drawn and
+    projected a window at a time (column_windows), so the probe holds the
+    trials squared norms and one window, not m * trials doubles.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    sq = np.sum(projected_draw(ensemble, projected_basis(m, r, ell), trials, rng) ** 2, axis=0)
+    w = projected_basis(m, r, ell)
+    sq = np.empty(trials)
+    for c0, window in column_windows(ensemble, m, trials, rng):
+        proj = w @ window
+        np.einsum("ij,ij->j", proj, proj, out=sq[c0:c0 + window.shape[1]])
     return SmallBallSummary(
         ell=ell,
         trials=trials,

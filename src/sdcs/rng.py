@@ -1,8 +1,8 @@
 """Deterministic counter-based random number generation.
 
-This docstring is the one description of the streams' reproducibility and
-of the helper thread that draws normals; the rest of the package refers
-here.
+This docstring is the one description of the streams' reproducibility, of
+the helper thread that draws normals and of column windows; the rest of
+the package refers here.
 
 Reproducibility.  A stream keyed by a 64-bit integer produces draw number
 i as ``mix64(key + (i + 1) * GAMMA)`` where ``mix64`` is the SplitMix64
@@ -45,6 +45,17 @@ thread alone.
 Each normal goes through the same ufuncs on the same raw draws whichever
 thread computes it, so the outputs and the counter do not depend on the
 helper.
+
+Column windows.  Read the stream's next m * n normals, or Rademacher
+signs, as the m x n matrix ``normals(m * n).reshape(m, n)``.  Entry (i, j)
+is normal p = i n + j, from raw draws 2p and 2p + 1 (sign p from raw draw
+p), a function of its position alone.  So ``RngStream._window`` forms the
+columns c0..c1-1 of that matrix without the rest of the draw: it puts the
+window's raw draws through the ufuncs that normals and rademacher use,
+which makes it bit for bit that slice of the whole draw.  It runs on the
+calling thread and leaves the counter where it is; a caller that walks
+the whole draw a window at a time moves the counter past it once at the
+end, with ``_advance``.
 """
 
 from __future__ import annotations
@@ -219,6 +230,28 @@ class RngStream:
         bits = (self.uint64s(n) >> np.uint64(63)).astype(np.float64)
         return 1.0 - 2.0 * bits
 
+    def _window(self, m: int, n: int, c0: int, c1: int, normal: bool) -> np.ndarray:
+        """Columns c0..c1-1 of normals(m * n) (normal true) or of
+        rademacher(m * n), each read as an m x n matrix, bit for bit and
+        without moving the counter (see the module docstring)."""
+        if m < 0 or not 0 <= c0 <= c1 <= n:
+            raise ValueError("need m >= 0 and 0 <= c0 <= c1 <= n")
+        # Entry p = i n + j is normal p, from raw draws 2p and 2p + 1, or sign
+        # p, from raw draw p: with w draws per entry, its first raw draw is
+        # mix64(start + step), step = (w p + 1) GAMMA = w n GAMMA i + (w j + 1) GAMMA.
+        w = 2 if normal else 1
+        rows = np.arange(m, dtype=np.uint64) * np.uint64(w * n * _GAMMA & _MASK)
+        cols = np.arange(w * c0 + 1, w * c1 + 1, w, dtype=np.uint64) * np.uint64(_GAMMA)
+        steps = np.add.outer(rows, cols).ravel()
+        start = self._key + self._counter * _GAMMA
+        if normal:
+            out = np.empty(steps.size)
+            _box_muller_into(start, out, *_scratch(min(steps.size, _NORMAL_BLOCK)), steps)
+        else:
+            _splitmix_into(start, steps, steps, np.empty_like(steps))
+            out = 1.0 - 2.0 * (steps >> np.uint64(63)).astype(np.float64)
+        return out.reshape(m, c1 - c0)
+
     def _draw(self) -> int:
         """Next raw 64-bit output as a Python int (one uint64s draw)."""
         return _mix64(self._advance(1) + _GAMMA)
@@ -287,16 +320,21 @@ def _scratch(k: int):
     return np.empty(k, dtype=np.uint64), np.empty(k, dtype=np.uint64), np.empty(k)
 
 
-def _box_muller_into(start: int, out: np.ndarray, raw, tmp, radius) -> None:
-    """Fill out with the normals of the 2 * out.size raw draws from start
-    (draw j is mix64(start + _STEPS[j])), one block at a time; raw, tmp and
-    radius hold at least min(out.size, _NORMAL_BLOCK) entries."""
+def _box_muller_into(start: int, out: np.ndarray, raw, tmp, radius, steps=None) -> None:
+    """Fill out with normals, one block at a time: normal j from the radius
+    draw mix64(start + s_j) and the angle draw after it, mix64(start + GAMMA
+    + s_j).  s_j = steps[j], or with steps None, (2j + 1) GAMMA: the 2 *
+    out.size raw draws from start, draw j being mix64(start + _STEPS[j]).
+    raw, tmp and radius hold at least min(out.size, _NORMAL_BLOCK) entries."""
     n = out.size
     for lo in range(0, n, _NORMAL_BLOCK):
         k = min(n - lo, _NORMAL_BLOCK)
-        begin = start + 2 * lo * _GAMMA
+        if steps is None:
+            begin, s = start + 2 * lo * _GAMMA, _STEPS[0:2 * k:2]
+        else:
+            begin, s = start, steps[lo:lo + k]
         z, t, rad, angle = raw[:k], tmp[:k], radius[:k], out[lo:lo + k]
-        _splitmix_into(begin, _STEPS[0:2 * k:2], z, t)
+        _splitmix_into(begin, s, z, t)
         np.right_shift(z, _U11, out=z)
         np.copyto(rad, z)
         rad += 1.0
@@ -304,7 +342,7 @@ def _box_muller_into(start: int, out: np.ndarray, raw, tmp, radius) -> None:
         np.log(rad, out=rad)
         rad *= -2.0
         np.sqrt(rad, out=rad)
-        _splitmix_into(begin, _STEPS[1:2 * k:2], z, t)
+        _splitmix_into(begin + _GAMMA, s, z, t)
         np.right_shift(z, _U11, out=z)
         np.copyto(angle, z)
         angle *= _ANGLE

@@ -34,8 +34,8 @@ def report(num: int, ok: bool, detail: str) -> None:
     print(f"[criterion {num}] {'PASS' if ok else 'FAIL'}: {detail}")
 
 
-def sweep_config(r: int) -> SweepConfig:
-    return SweepConfig(ensemble="gaussian", n=256, s=5, r=r, delta=0.01,
+def sweep_config(r: int, ensemble: str = "gaussian") -> SweepConfig:
+    return SweepConfig(ensemble=ensemble, n=256, s=5, r=r, delta=0.01,
                        alpha=0.7, m_grid=(100, 200, 400, 800), trials=20, seed=20_240)
 
 
@@ -128,8 +128,10 @@ def test_criterion_3_error_bound_dominates(sweep_r1, sweep_r2):
     assert ok
 
 
-def test_criterion_3b_rip_chain_to_the_rate(sweep_r1):
-    """At r = 1, on every support-correct row:
+@pytest.mark.parametrize("kind", ["gaussian", "rademacher", "column-model"])
+def test_criterion_3b_rip_chain_to_the_rate(kind, sweep_r1):
+    """At r = 1, on every support-correct row of each ensemble's acceptance
+    sweep:
     err_l2 <= bound_eq3 <= bound_rip <= (pi/2) delta (m/ell)^(-1/2) / sigma_min_proj.
 
     Let A = D^{-1} Phi_T, W the top-ell right singular rows of D^{-1} and
@@ -158,16 +160,18 @@ def test_criterion_3b_rip_chain_to_the_rate(sweep_r1):
       sqrt(ell) by gamma(2), and its SVD has backward error beta_ell ||P||.
     The norms the test takes to bound these are widened by their own
     rounding; the relative slack then is (E_A + sigma_ell sqrt(ell) E_P) /
-    sigma_min(A), plus gamma(30) for the two bounds' own formulas.
+    sigma_min(A), plus gamma(30) for the two bounds' own formulas.  Every
+    term is a norm of |Phi_T|, so the margins hold for any ensemble.
     """
-    gauss = Ensemble("gaussian")
+    rows = sweep_r1 if kind == "gaussian" else run_decay_sweep(sweep_config(1, kind))
+    ensemble = Ensemble(kind)
     norm = np.linalg.norm
     ratios, violations = [], 0
-    for rec in sweep_r1:
+    for rec in rows:
         if not rec.support_correct:
             continue
         m, s, ell, delta = rec.m, rec.s, rec.ell, rec.delta
-        sig, phi = draw_instance(gauss, rec.n, s, m, 1, delta, RngStream(rec.seed))
+        sig, phi = draw_instance(ensemble, rec.n, s, m, 1, delta, RngStream(rec.seed))
         phi_t = phi[:, sig.support]
         proj = projected_matrix(phi_t, 1, ell)
         sproj = rec.sigma_min_proj
@@ -195,7 +199,7 @@ def test_criterion_3b_rip_chain_to_the_rate(sweep_r1):
     assert ratios, "no support-correct rows"
     rip_over_eq3, rate_over_rip, slacks = zip(*ratios)
     ok = violations == 0
-    report(3, ok, f"r=1 chain err <= bound_eq3 <= bound_rip <= rate: {violations} violations "
+    report(3, ok, f"{kind} r=1 chain err <= bound_eq3 <= bound_rip <= rate: {violations} violations "
                   f"on {len(ratios)} support-correct rows; min bound_rip/bound_eq3 "
                   f"{min(rip_over_eq3):.3f}, min rate/bound_rip {min(rate_over_rip):.4f}, "
                   f"max slack {max(slacks):.1e}")

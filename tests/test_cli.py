@@ -271,6 +271,39 @@ def test_sweep_config_order_above_cap(tmp_path):
     assert not out.exists()
 
 
+def test_sweep_checks_its_output_before_any_trial(tmp_path, monkeypatch):
+    def no_trials(cfg):
+        raise AssertionError("the sweep ran before its output was checked")
+
+    monkeypatch.setattr("sdcs.cli.run_decay_sweep", no_trials)
+    base = ["sweep", "--ensemble", "gaussian", "--n", "16", "--s", "2", "--order", "1",
+            "--delta", "0.05", "--alpha", "0.7", "--m-grid", "8", "--trials", "1",
+            "--seed", "1", "--out"]
+    missing = str(tmp_path / "missing" / "x.csv")
+    msg = usage_error(base + [missing])
+    assert msg == f"sdcs sweep: error: [Errno 2] No such file or directory: '{missing}'"
+    assert "\n" not in msg
+
+    # The config file's output is checked as well.
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text(f"output = {missing}\n")
+    assert usage_error(base[:-1] + ["--config", str(cfg)]) == msg
+
+    # A writable output is left as it was until the CSV is written: an
+    # existing file keeps its bytes, and a new one is not created.
+    def failing(cfg):
+        raise ValueError("no trials here")
+
+    monkeypatch.setattr("sdcs.cli.run_decay_sweep", failing)
+    kept = tmp_path / "kept.csv"
+    kept.write_bytes(b"old rows\n")
+    assert usage_error(base + [str(kept)]) == "sdcs sweep: error: no trials here"
+    assert kept.read_bytes() == b"old rows\n"
+    new = tmp_path / "new.csv"
+    usage_error(base + [str(new)])
+    assert not new.exists()
+
+
 @pytest.mark.parametrize("args, cmd, why", [
     (["ripscan", "--mode", "exact", "--s", "1", "--m", "6", "--n", "4", "--project", "2,0"],
      "ripscan", "need 1 <= ell <= 6"),

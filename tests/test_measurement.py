@@ -8,10 +8,10 @@ import pytest
 from oracles import U, correlation_root, gamma
 from sdcs.difference import projected_basis
 from sdcs.measurement import (
-    _DRAW_BLOCK,
+    _WINDOW,
     ENSEMBLE_KINDS,
     Ensemble,
-    projected_draw,
+    column_windows,
     sample_matrix,
     sample_sparse_signal,
 )
@@ -125,55 +125,61 @@ def test_column_model_draw_holds_no_square_array_and_keeps_nothing():
     assert after - before < 64 * 2**10
 
 
-# (m, n): one block; two blocks, the second short (150 rows, then 50);
-# one row per block, as a row is longer than a block.
-@pytest.mark.parametrize("m, n", [(1, 5), (200, _DRAW_BLOCK // 150), (3, _DRAW_BLOCK + 7)])
+# (m, n, c): n = 1 and m = 1; two windows, the second short; 11 windows,
+# the last short; three windows of width 16, the last of one column.  c raw
+# draws come first.
+@pytest.mark.parametrize("m, n, c", [(7, 1, 11), (1, 40_000, 3), (200, 1747, 0), (2000, 33, 1)])
+@pytest.mark.parametrize("kind", ENSEMBLE_KINDS)
+def test_column_windows_are_the_draw(kind, m, n, c):
+    """column_windows yields sample_matrix's columns bit for bit, in
+    consecutive windows of max(1, _WINDOW // m) columns, and leaves the
+    stream where sample_matrix does."""
+    ens = Ensemble(kind)
+    ref_rng, got_rng = RngStream(m + n), RngStream(m + n)
+    ref_rng.uint64s(c)
+    got_rng.uint64s(c)
+    want = sample_matrix(ens, m, n, ref_rng)
+    width = max(1, _WINDOW // m)
+    starts = []
+    for c0, window in column_windows(ens, m, n, got_rng):
+        starts.append(c0)
+        assert got_rng.counter == c  # the stream moves once, past the whole draw
+        assert window.tobytes() == np.ascontiguousarray(want[:, c0:c0 + width]).tobytes()
+    assert starts == list(range(0, n, width))
+    assert got_rng.counter == ref_rng.counter
+
+
+# (m, n): one window of one row; 11 windows of 163 columns, the last of
+# 117; 25 windows of 10,922 columns, the last of 23.
+@pytest.mark.parametrize("m, n", [(1, 5), (200, 1747), (3, 262151)])
 @pytest.mark.parametrize("kind", ENSEMBLE_KINDS)
 def test_projected_draw_is_the_product_with_the_whole_draw(kind, m, n):
-    """projected_draw equals w @ sample_matrix on the same draws, to within
-    the rounding of the two paths, and consumes the same draws.
+    """w @ each window of column_windows is w @ sample_matrix on the same
+    draws, to within the rounding of the two products.
 
-    gaussian, rademacher: both paths form each entry as an inner product of
-    w_i and the same column x_j, m products summed in some order (BLAS's,
-    or block partials then the blocks), so each is within
-    gamma_m (|w_i|.|x_j|) of the exact value (Higham, Accuracy and
-    Stability of Numerical Algorithms, Section 3.1), and they differ by at
-    most twice that.  gamma_2m in place of gamma_m covers the rounding of
-    forming |W||X| here.
-
-    column-model: the reference is fl(w_i . z_j), z_j = S^(1/2) g_j + e_j
-    from the transform path, with ||e_j|| <= tau ||g_j|| and tau the bound
-    of test_column_model_is_the_symmetric_root_of_its_covariance.  The
-    blocked path is fl(w'_i . g_j), w'_i = S^(1/2) w_i + f_i by the same
-    transform applied to w_i, ||f_i|| <= tau ||w_i||.  Each differs from
-    w_i^T S^(1/2) g_j by its root error, at most tau ||w_i|| ||g_j|| by
-    Cauchy-Schwarz, plus its product's rounding: gamma_m (|W||Z|)_ij, and
-    gamma_m ||w'_i|| ||g_j|| <= gamma_m (sqrt(1.6) + tau) ||w_i|| ||g_j||,
-    as ||S^(1/2)|| = sqrt(1 + 2c) = sqrt(1.6).
+    The windows are the draw's columns bit for bit, for every ensemble
+    (test_column_windows_are_the_draw).  So both paths form each entry as
+    an inner product of w_i and the same column x_j, m products summed in
+    some order, each within gamma_m (|w_i|.|x_j|) of the exact value
+    (Higham, Accuracy and Stability of Numerical Algorithms, Section 3.1),
+    and they differ by at most twice that.  gamma_2m in place of gamma_m
+    covers the rounding of forming |W||X| here.
     """
     ens = Ensemble(kind)
     w = RngStream(m + 1).normals(5 * m).reshape(5, m)
     ref_rng, got_rng = RngStream(n), RngStream(n)
     x = sample_matrix(ens, m, n, ref_rng)
-    got = projected_draw(ens, w, n, got_rng)
+    got = np.empty((5, n))
+    for c0, window in column_windows(ens, m, n, got_rng):
+        got[:, c0:c0 + window.shape[1]] = w @ window
     assert got_rng.counter == ref_rng.counter
-    ref = w @ x
-    tol = 2 * gamma(2 * m) * (np.abs(w) @ np.abs(x))
-    if kind == "column-model":
-        g = RngStream(n).rademacher(m * n).reshape(m, n)
-        psi = math.sqrt(2.0) * fft_error(2 * m + 2) + gamma(3)
-        tau = math.sqrt(1.6) * ((1 + psi) ** 2 * (1 + 15 * U) - 1)
-        norms = np.outer(np.linalg.norm(w, axis=1), np.linalg.norm(g, axis=0))
-        tol = (gamma(2 * m) * (np.abs(w) @ np.abs(x))
-               + (2 * tau + gamma(2 * m) * (math.sqrt(1.6) + tau)) * norms)
-    assert np.all(np.abs(got - ref) <= tol)
+    assert np.all(np.abs(got - w @ x) <= 2 * gamma(2 * m) * (np.abs(w) @ np.abs(x)))
 
 
-def test_projected_draw_validation():
-    with pytest.raises(ValueError):
-        projected_draw(Ensemble("gaussian"), np.ones(3), 4, RngStream(0))
-    with pytest.raises(ValueError):
-        projected_draw(Ensemble("gaussian"), np.ones((2, 3)), 0, RngStream(0))
+def test_column_windows_validation():
+    for m, n in ((0, 4), (3, 0)):
+        with pytest.raises(ValueError):
+            next(column_windows(Ensemble("gaussian"), m, n, RngStream(0)))
 
 
 def test_sample_matrix_validates_dims():

@@ -284,17 +284,26 @@ def test_small_ball_column_model_mean_is_the_trace():
     assert np.all(np.diff(summary.quantiles) >= 0.0)
 
 
-def test_small_ball_holds_the_projection_not_the_draw():
-    # The 2000 x 5000 draw alone is 76 MiB; the probe keeps the 16 x 5000
-    # projection and one block of about 2 MiB.
-    projected_basis(2000, 2, 16)  # warm the basis cache
+def probe_peak(m: int, trials: int) -> int:
+    """tracemalloc peak of a gaussian small_ball_probe at (m, 2, 16), its
+    basis built beforehand."""
+    projected_basis(m, 2, 16)
     tracemalloc.start()
     try:
-        small_ball_probe(Ensemble("gaussian"), 2000, 2, 16, 5000, RngStream(18))
-        peak = tracemalloc.get_traced_memory()[1]
+        small_ball_probe(Ensemble("gaussian"), m, 2, 16, trials, RngStream(18))
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 8 * 2**20
+
+
+def test_small_ball_holds_the_projection_not_the_draw():
+    # The 2000 x 5000 draw alone is 76 MiB.  The probe keeps the 5000
+    # squared norms and one window of 2^15 draws, which takes about 1 MiB
+    # with its raw draws and Box-Muller scratch.
+    assert probe_peak(2000, 5000) <= 2 * 2**20
+    # Per trial it keeps one squared norm, and np.quantile copies them: 16
+    # bytes.  The growth does not depend on m, so a short m measures it.
+    assert probe_peak(64, 50_000) - probe_peak(64, 5000) <= 16 * 45_000
 
 
 def test_small_ball_validation():
