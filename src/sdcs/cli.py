@@ -20,9 +20,11 @@ import sys
 import numpy as np
 
 from .experiments import (
+    SWEEP_CSV_COLUMNS,
     build_sweep_config,
     parse_config_text,
     read_sweep_csv,
+    report_record,
     run_decay_sweep,
     summarize,
     summary_to_csv,
@@ -98,10 +100,9 @@ def _cmd_quantize(args) -> int:
     return 0
 
 
-_RECONSTRUCT_COLUMNS = (
-    "ensemble,n,s,m,r,delta,alpha,ell,seed,support_correct,"
-    "err_l2,bound_eq3,sigma_min_proj,recovered_support,x_hat_values"
-)
+# A reconstruct row replays a sweep row: the sweep CSV's cells but trial,
+# each written as the sweep CSV writes it, then the recovered coefficients.
+_REPLAY_COLUMNS = tuple(c for c in SWEEP_CSV_COLUMNS if c != "trial")
 
 
 def _cmd_reconstruct(args) -> int:
@@ -109,15 +110,13 @@ def _cmd_reconstruct(args) -> int:
         Ensemble(args.ensemble), args.n, args.s, args.m, args.order,
         args.delta, args.alpha, RngStream(args.seed),
     )
+    rec = report_record(rep, args.ensemble, args.n, args.s, args.m, args.order,
+                        args.delta, args.alpha, trial=0, seed=args.seed)
     support = ";".join(str(int(i)) for i in rep.recovered_support)
     values = ";".join(format_value(v) for v in rep.x_hat[rep.recovered_support])
-    row = ",".join([
-        args.ensemble, str(args.n), str(args.s), str(args.m), str(args.order),
-        format_value(args.delta), format_value(args.alpha), str(rep.ell), str(args.seed),
-        format_value(rep.support_correct), format_value(rep.err_l2),
-        format_value(rep.err_bound), format_value(rep.sigma_min_proj), support, values,
-    ])
-    _write(_RECONSTRUCT_COLUMNS + "\n" + row + "\n", args.out)
+    header = ",".join(_REPLAY_COLUMNS + ("recovered_support", "x_hat_values"))
+    row = ",".join([format_value(getattr(rec, c)) for c in _REPLAY_COLUMNS] + [support, values])
+    _write(header + "\n" + row + "\n", args.out)
     return 0
 
 

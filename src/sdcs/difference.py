@@ -20,8 +20,8 @@ time, builds each of its keys once.  Every build checks (m, r) with
 check_exact_power.  Both functions hand every caller the kept array
 itself, read-only, so a warm call copies nothing.
 
-The basis is formed without a dense m x m matrix or SVD except where
-2 ell + 8 >= m (see _top_right_rows).
+A basis is formed from running sums alone (see _top_right_rows), never
+from the dense power, which only the reconstruction asks for.
 """
 
 from __future__ import annotations
@@ -149,7 +149,7 @@ def _reorthogonalize(w: np.ndarray, basis: np.ndarray) -> tuple[np.ndarray, floa
 
 
 def _lanczos_rows(m: int, r: int, ell: int) -> np.ndarray:
-    """Top-ell right singular rows of A = D^{-r}, for ell < m, by
+    """Top-ell right singular rows of A = D^{-r}, for 1 <= ell <= m, by
     Golub-Kahan-Lanczos bidiagonalization (Golub and Kahan, SIAM J. Numer.
     Anal. B 1965) with full reorthogonalization (Simon and Zha, SIAM J.
     Sci. Comput. 2000).
@@ -185,19 +185,21 @@ def _lanczos_rows(m: int, r: int, ell: int) -> np.ndarray:
     the relation (about eps sigma_1) leaves meaningful, at r = 3 and large
     ell.  The returned rows then carry that rounding, about eps sigma_1
     divided by the gap, as any backward-stable SVD's do.  In exact
-    arithmetic beta_m = 0, so k = m ends the loop at the latest.
+    arithmetic beta_m = 0, so k = m ends the loop at the latest, and at
+    ell = m, where the rows must span the whole space, it is the only stop.
 
-    B_k is factored when k first exceeds ell and then every max(4, k / 8)
-    steps: all those small SVDs cost about as much as the last, and at most
-    an eighth more steps run than the stop needs.  The Lanczos rows start
-    at 2 ell + 8 and double when full, so they hold O(k m) doubles.
+    B_k is factored when k first exceeds ell (at k = m if ell = m) and then
+    every max(4, k / 8) steps: all those small SVDs cost about as much as
+    the last, and at most an eighth more steps run than the stop needs.
+    The Lanczos rows start at min(m, 2 ell + 8) and double when full, never
+    past m, so they hold O(k m) doubles.
     """
-    cap = 2 * ell + 8
+    cap = min(m, 2 * ell + 8)
     v_rows, u_rows = np.empty((cap, m)), np.empty((cap, m))
     alphas: list[float] = []
     betas: list[float] = []
     v = np.full(m, 1.0 / math.sqrt(m))
-    k, check = 0, ell + 1
+    k, check = 0, min(m, ell + 1)
     while True:
         if k == len(v_rows):
             more = np.empty((min(m, 2 * k) - k, m))
@@ -224,19 +226,10 @@ def _lanczos_rows(m: int, r: int, ell: int) -> np.ndarray:
 
 
 def _top_right_rows(m: int, r: int, ell: int) -> np.ndarray:
-    """Rows spanning the top-ell right singular subspace of D^{-r}.
-
-    - r = 1: the closed form (_order_one_rows), exact to rounding; nothing
-      is factored.
-    - 2 ell + 8 >= m: one SVD of difference_power(m, r), which is a
-      Rayleigh-Ritz step over the whole space.
-    - otherwise: Golub-Kahan-Lanczos (_lanczos_rows) in O(k m) memory.
-    """
-    if r == 1:
-        return _order_one_rows(m, ell)
-    if 2 * ell + 8 >= m:
-        return np.linalg.svd(difference_power(m, r))[2][:ell].copy()
-    return _lanczos_rows(m, r, ell)
+    """Rows spanning the top-ell right singular subspace of D^{-r}: the
+    closed form (_order_one_rows) at r = 1, where nothing is factored, and
+    Golub-Kahan-Lanczos (_lanczos_rows) in O(k m) memory otherwise."""
+    return _order_one_rows(m, ell) if r == 1 else _lanczos_rows(m, r, ell)
 
 
 def projected_basis(m: int, r: int, ell: int) -> np.ndarray:

@@ -24,7 +24,7 @@ from .difference import check_exact_power
 from .linalg import format_value
 from .measurement import Ensemble
 from .quantizer import QuantizerConfig
-from .recovery import MsqTrialResult, full_pipeline, msq_trial
+from .recovery import MsqTrialResult, RecoveryReport, full_pipeline, msq_trial
 from .rng import RngStream, cancel_prefetch, derive_seed
 
 SWEEP_CSV_COLUMNS = (
@@ -111,17 +111,25 @@ def run_decay_sweep(cfg: SweepConfig) -> list[SweepRecord]:
             for trial, seed in enumerate(seeds):
                 rep = full_pipeline(ens, cfg.n, cfg.s, m, cfg.r, cfg.delta, cfg.alpha,
                                     RngStream(seed), next_rng=_next_stream(seeds, trial))
-                records.append(SweepRecord(
-                    ensemble=cfg.ensemble, n=cfg.n, s=cfg.s, m=m, r=cfg.r,
-                    delta=cfg.delta, alpha=cfg.alpha, ell=rep.ell, trial=trial, seed=seed,
-                    support_correct=rep.support_correct, err_l2=rep.err_l2,
-                    bound_eq3=rep.err_bound, sigma_min_proj=rep.sigma_min_proj,
-                    bpdn_l1_slack=rep.bpdn_l1_slack, bpdn_violation=rep.bpdn_violation,
-                    bpdn_converged=rep.bpdn_converged, support_tie_flag=rep.support_tie_flag,
-                ))
+                records.append(report_record(rep, cfg.ensemble, cfg.n, cfg.s, m, cfg.r,
+                                             cfg.delta, cfg.alpha, trial, seed))
     finally:
         cancel_prefetch()
     return records
+
+
+def report_record(rep: RecoveryReport, ensemble: str, n: int, s: int, m: int, r: int,
+                  delta: float, alpha: float, trial: int, seed: int) -> SweepRecord:
+    """The sweep row of the full_pipeline report of trial `trial`, run on
+    RngStream(seed) at these parameters; `sdcs reconstruct` writes the same
+    cells but trial."""
+    return SweepRecord(
+        ensemble=ensemble, n=n, s=s, m=m, r=r, delta=delta, alpha=alpha, ell=rep.ell,
+        trial=trial, seed=seed, support_correct=rep.support_correct, err_l2=rep.err_l2,
+        bound_eq3=rep.err_bound, sigma_min_proj=rep.sigma_min_proj,
+        bpdn_l1_slack=rep.bpdn_l1_slack, bpdn_violation=rep.bpdn_violation,
+        bpdn_converged=rep.bpdn_converged, support_tie_flag=rep.support_tie_flag,
+    )
 
 
 def _next_stream(seeds: list[int], trial: int) -> RngStream | None:

@@ -463,6 +463,8 @@ def msq_trial(ensemble: Ensemble, n: int, s: int, m: int, r: int, delta: float,
     instances match the feedback-quantizer runs.  next_rng is as in
     full_pipeline.
     """
+    if m < s:
+        raise ValueError("need m >= s")
     trial = _recover(ensemble, n, s, m, r, delta, rng, QuantizerConfig(r=0, delta=delta),
                      next_rng)
     return MsqTrialResult(err_l2=trial.err, support_correct=trial.correct)

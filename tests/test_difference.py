@@ -10,8 +10,7 @@ from hypothesis import strategies as st
 import sdcs.difference as difference
 from oracles import difference_matrix, inverse_difference_power, singular_profile
 from sdcs.difference import check_exact_power, difference_power, projected_basis
-from sdcs.measurement import Ensemble
-from sdcs.recovery import full_pipeline, projection_dim
+from sdcs.recovery import projection_dim
 from sdcs.rng import RngStream
 
 GOLDEN = (1.0 + math.sqrt(5.0)) / 2.0
@@ -229,7 +228,7 @@ def test_caches_stay_bounded():
     for m in range(40, 50):
         difference_power(m, 2)
         projected_basis(m, 2, 3)
-        projected_basis(m, 2, 30)  # dense regime: factors the kept power
+        projected_basis(m, 2, 30)  # ell near m: Lanczos runs to k = m or close to it
         projected_basis(m, 1, 3)
     assert list(difference._kept) == [(49, 1, 3)]
     projected_basis(49, 1, 5)
@@ -286,24 +285,39 @@ def test_each_workload_key_is_built_once(monkeypatch, order, with_power):
     assert built == want
 
 
-def test_dense_regime_basis_factors_the_kept_power(monkeypatch):
-    # At 2 ell + 8 >= m the basis is the SVD of difference_power(m, r), so
-    # a trial's Sobolev stage and projection build one dense power between
-    # them, and a later basis at the same (m, r) reuses it.
-    m, s, r = 20, 5, 2
-    ell = projection_dim(m, s, 0.7)
-    assert (ell, 2 * ell + 8 >= m) == (8, True)
+@pytest.mark.parametrize("r", [2, 3])
+@pytest.mark.parametrize(("m", "ell"), [
+    (20, 1), (20, 5), (20, 6), (20, 8), (20, 19), (20, 20),
+    (300, 145), (300, 146), (300, 299), (300, 300)])
+def test_basis_never_builds_the_dense_power(monkeypatch, r, m, ell):
+    # At r >= 2 every basis, small ell and ell up to m alike, comes from
+    # running sums: the dense power is neither built nor kept, and the only
+    # m x m matrix factored is the Lanczos bidiagonal B_m, once k reaches m.
     built = count_builds(monkeypatch)
-    full_pipeline(Ensemble("gaussian"), 64, s, m, r, 0.02, 0.7, RngStream(57))
-    assert built == [(m, r, None), (m, r, ell)]
-    projected_basis(m, r, 12)
-    assert built == [(m, r, None), (m, r, ell), (m, r, 12)]
+    shapes = []
+    svd = np.linalg.svd
+
+    def recording_svd(a, *args, **kwargs):
+        shapes.append((np.shape(a), np.array_equal(a, np.triu(np.tril(a, 1)))))
+        return svd(a, *args, **kwargs)
+
+    def refuse(*args):
+        raise AssertionError("a basis build asked for the dense power")
+
+    monkeypatch.setattr(np.linalg, "svd", recording_svd)
+    monkeypatch.setattr(difference, "_dense_power", refuse)
+    w = projected_basis(m, r, ell)
+    assert w.shape == (ell, m)
+    assert built == [(m, r, ell)]
+    assert list(difference._kept) == [(m, r, ell)]
+    # each factored matrix is a k x k upper bidiagonal B_k, k <= m
+    assert shapes and all(a == b <= m and bidiagonal for (a, b), bidiagonal in shapes)
 
 
 def test_order_one_basis_is_the_closed_form(monkeypatch):
     # At r = 1 the rows are the closed-form right singular vectors
-    # cos(theta_j (k + 1/2)): nothing is factored, on either side of the
-    # dense threshold 2 ell + 8 = m, and they span the dense SVD's top rows.
+    # cos(theta_j (k + 1/2)): nothing is factored, at small ell or at ell up
+    # to m, and they span the dense SVD's top rows.
     m = 300
 
     def refuse(*args, **kwargs):
@@ -344,17 +358,22 @@ def basis_error_bound(s, ell, m):
     return tol + 2 * m * EPS * s[0] / gap
 
 
-def ells_on_both_sides(m):
-    """ell in [1, m], drawn from Lanczos's side of 2 ell + 8 = m or the dense side."""
-    dense = st.integers(max(1, (m - 7) // 2), m)
-    return dense if m < 11 else st.one_of(st.integers(1, (m - 9) // 2), dense)
+def ells_low_or_high(m):
+    """ell in [1, m], drawn from below about m / 2 or from above it, where
+    the Lanczos run ends at or near k = m."""
+    high = st.integers(max(1, (m - 7) // 2), m)
+    return high if m < 11 else st.one_of(st.integers(1, (m - 9) // 2), high)
 
 
 @settings(derandomize=True, max_examples=100, deadline=None)
 @given(st.integers(1, 300).flatmap(
-    lambda m: st.tuples(st.just(m), st.sampled_from((1, 2, 3)), ells_on_both_sides(m))))
-@example((300, 2, 145))  # 2 ell + 8 = 298 < m: Lanczos
-@example((300, 3, 146))  # 2 ell + 8 = m: dense
+    lambda m: st.tuples(st.just(m), st.sampled_from((1, 2, 3)), ells_low_or_high(m))))
+@example((300, 2, 145))  # ell about m / 2
+@example((300, 3, 146))
+@example((300, 2, 299))  # ell = m - 1 and ell = m: Lanczos runs to k = m
+@example((300, 2, 300))
+@example((300, 3, 299))
+@example((300, 3, 300))
 @example((300, 3, 1))
 @example((12, 1, 1))
 def test_projected_basis_matches_the_dense_svd_within_the_stop_bound(key):
@@ -384,7 +403,6 @@ def test_cold_basis_memory_is_linear_in_m():
     # to an m x m array (3.2 GB at m = 20000).
     m, r = 20000, 3
     ell = projection_dim(m, 5, 0.7)
-    assert 2 * ell + 8 < m
     difference._kept.clear()
     tracemalloc.start()
     try:
@@ -393,5 +411,28 @@ def test_cold_basis_memory_is_linear_in_m():
     finally:
         tracemalloc.stop()
     assert w.shape == (ell, m)
-    # two Lanczos sequences of at most twice their first 2 ell + 8 rows
-    assert peak <= 4 * (2 * ell + 8) * m * 8
+    # two Lanczos sequences of at most twice their first min(m, 2 ell + 8) rows
+    assert peak <= 4 * min(m, 2 * ell + 8) * m * 8
+
+
+def test_basis_at_ell_near_m_holds_at_most_m_lanczos_rows():
+    """Peak memory of a cold (800, 2, 710) basis, where Lanczos stops at
+    k = 799 (checks at k = 711 and 799).
+
+    In units of m^2 doubles, at most: the two Lanczos row sequences, each
+    capped at m rows (2); the factors P and Q^T of the previous check's
+    B_k, alive until the next factorization returns (2); the current B_k
+    (1) and its new factors (2).  That is 7 m^2 doubles, 35.8 MB.  Row
+    sequences started at 2 ell + 8 = 1428 rows would alone take 3.57 m^2
+    (41.8 MB measured in all).
+    """
+    m, r, ell = 800, 2, 710
+    difference._kept.clear()
+    tracemalloc.start()
+    try:
+        w = projected_basis(m, r, ell)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert w.shape == (ell, m)
+    assert peak <= 7 * m * m * 8

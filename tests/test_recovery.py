@@ -12,7 +12,7 @@ import sdcs.difference as difference
 import sdcs.recovery as recovery
 from oracles import difference_matrix, gamma, inverse_difference_power
 from sdcs.difference import difference_power, projected_basis
-from sdcs.experiments import trial_seed
+from sdcs.experiments import SweepConfig, run_msq_baseline, trial_seed
 from sdcs.measurement import Ensemble, sample_matrix, sample_sparse_signal
 from sdcs.quantizer import QuantizerConfig, quantization_noise_bound, sigma_delta_quantize
 from sdcs.recovery import (
@@ -20,6 +20,7 @@ from sdcs.recovery import (
     bpdn_solve,
     draw_instance,
     full_pipeline,
+    msq_trial,
     projection_dim,
     sobolev_reconstruct,
     support_from,
@@ -591,27 +592,38 @@ class TestFullPipeline:
         assert sorted(shapes) == sorted([(m, s), (rep.ell, s)])
 
     def test_cold_call_takes_no_square_svd(self, monkeypatch):
-        # below the dense threshold the projection basis comes from Lanczos
-        # bidiagonalization, which factors only its k x k bidiagonals; no SVD
-        # of an m x m matrix runs even when nothing is cached
-        m, s, r = 200, 5, 2
-        assert 2 * projection_dim(m, s, 0.7) + 8 < m
-        difference._kept.clear()
-        shapes = []
+        # the projection basis comes from Lanczos bidiagonalization, which
+        # factors only its k x k bidiagonals; no SVD of a dense m x m matrix
+        # runs even when nothing is cached.  At (m, ell) = (20, 8) Lanczos
+        # runs to k = m, so its last bidiagonal is m x m.
+        s, r = 5, 2
         svd = np.linalg.svd
+        for m, ell in ((200, 16), (20, 8)):
+            assert projection_dim(m, s, 0.7) == ell
+            difference._kept.clear()
+            shapes = []
 
-        def recording_svd(a, *args, **kwargs):
-            shapes.append(np.shape(a))
-            return svd(a, *args, **kwargs)
+            def recording_svd(a, *args, **kwargs):
+                bidiagonal = np.array_equal(a, np.triu(np.tril(a, 1)))
+                shapes.append((np.shape(a), bidiagonal))
+                return svd(a, *args, **kwargs)
 
-        monkeypatch.setattr(np.linalg, "svd", recording_svd)
-        full_pipeline(GAUSS, 64, s, m, r, 0.02, 0.7, RngStream(56))
-        assert len(shapes) > 2  # the cold basis factored its bidiagonals
-        assert all(shape[0] < m or shape[1] < m for shape in shapes)
+            with monkeypatch.context() as patch:
+                patch.setattr(np.linalg, "svd", recording_svd)
+                full_pipeline(GAUSS, 64, s, m, r, 0.02, 0.7, RngStream(56))
+            assert len(shapes) > 2  # the cold basis factored its bidiagonals
+            assert all(min(shape) < m or bidiagonal for shape, bidiagonal in shapes)
 
-    def test_m_less_than_s_rejected(self):
-        with pytest.raises(ValueError):
-            full_pipeline(GAUSS, 64, 5, 4, 1, 0.02, 0.7, RngStream(0))
+    def test_m_less_than_s_rejected(self, monkeypatch):
+        # the baseline rejects m < s as the pipeline does, before it draws
+        # and runs BPDN on an instance it cannot recover
+        self.refuse_to_draw(monkeypatch)
+        for run in (lambda: full_pipeline(GAUSS, 64, 5, 4, 1, 0.02, 0.7, RngStream(0)),
+                    lambda: msq_trial(GAUSS, 32, 5, 3, 1, 0.01, RngStream(1)),
+                    lambda: run_msq_baseline(SweepConfig("gaussian", 32, 5, 1, 0.01, 0.7,
+                                                         (5, 10), 2, 1), 3)):
+            with pytest.raises(ValueError, match=r"^need m >= s$"):
+                run()
 
     @staticmethod
     def refuse_to_draw(monkeypatch):
