@@ -192,7 +192,10 @@ def _lanczos_rows(m: int, r: int, ell: int) -> np.ndarray:
     every max(4, k / 8) steps: all those small SVDs cost about as much as
     the last, and at most an eighth more steps run than the stop needs.
     The Lanczos rows start at min(m, 2 ell + 8) and double when full, never
-    past m, so they hold O(k m) doubles.
+    past m, so they hold O(k m) doubles.  Each check factors B_k, held in
+    one k x k array, drops B_k once factored and its factors unless it
+    stops, so at most one B_k and its factors (3 k^2 doubles) are alive
+    beside the rows.
     """
     cap = min(m, 2 * ell + 8)
     v_rows, u_rows = np.empty((cap, m)), np.empty((cap, m))
@@ -217,10 +220,15 @@ def _lanczos_rows(m: int, r: int, ell: int) -> np.ndarray:
         betas.append(beta)
         k += 1
         if k == check:
-            p, s, qt = np.linalg.svd(np.diag(alphas) + np.diag(betas[:-1], 1))
+            b = np.zeros((k, k))
+            b.flat[::k + 1] = alphas
+            b.flat[1::k + 1] = betas[:-1]
+            p, s, qt = np.linalg.svd(b)
+            del b
             tol = max(_BASIS_TOL, _BASIS_FLOOR * _EPS * s[0] / s[ell - 1])
             if k == m or beta * np.linalg.norm(p[-1, :ell]) <= tol * (s[ell - 1] - s[ell]):
                 return qt[:ell] @ v_rows[:k]
+            del p, qt
             check = min(m, k + max(4, k // 8))
         v = w / beta
 

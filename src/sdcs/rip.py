@@ -8,24 +8,57 @@ s, capped); the Monte Carlo variant maximizes over sampled supports and
 therefore never exceeds the exact value.
 
 RIC pruning.  This docstring is its one description.  Both scans run one
-solve step that solves only the supports that can set the maximum.  By
-Gershgorin's theorem, and because G_T is positive semidefinite, a
-support's deviation is at most
-max(max_i R_i - 1, 1 - max(min_i (2 G_ii - R_i), 0)), with R_i the absolute
-row sums of G_T.  The step solves supports with eigvalsh in descending
-order of that bound and stops once the next bound plus a rounding margin
-is below the running maximum.  The margin covers the backward error of the
-eigensolver and of the row sums, in any summation order, so no skipped
-support could have raised the computed maximum: the value is bit for bit
-that of a scan that solves every support.  supports_checked counts the
-supports covered, solved or skipped.
+solve step (_solve) that solves with eigvalsh only the supports that can
+set the maximum.  It rests on two tests, and on G_T being positive
+semidefinite.
+
+- Gershgorin.  A support's deviation is at most
+  max(max_i R_i - 1, 1 - max(min_i (2 G_ii - R_i), 0)), with R_i the
+  absolute row sums of G_T.  The step takes supports in descending order
+  of that bound, _CHUNK at a time, and stops once the next bound plus a
+  rounding margin is below the running maximum w.  The margin covers the
+  backward error of the eigensolver and of the row sums, in any summation
+  order (_MARGIN).
+- Cholesky.  Once w > 0, each chunk is first certified or not: one batched
+  Cholesky factorization of (1 + w - mu) I - G_T, and, while w < 1 + mu,
+  one of G_T - (1 - w + mu) I.  A chunk where every factorization runs to
+  completion is skipped; any other goes to eigvalsh.  From w = 1 + mu up,
+  the lower side needs no test: as G_T is positive semidefinite, each
+  1 - lambda_min is at most 1 plus the eigensolver's error, which is
+  below mu.  At w = 0 no chunk could pass both tests, so none is tested.
+
+The margin mu = (_MARGIN s^2 + (s + 1)^2) eps (1 + w) is derived, not
+fitted.  If Cholesky runs to completion on a symmetric s x s matrix M, the
+computed factor R satisfies R^T R = M + dM with |dM| <= gamma_{s+1} |R^T||R|
+in any summation order (Higham, Accuracy and Stability of Numerical
+Algorithms, 2nd ed., Thm. 10.3), so lambda_min(M) >= -(s + 1) eps tr(M)
+(Rump, BIT 46, 2006; underflow adds far less than mu here).  The upper
+test factors M = c I - G_T, with c computed as (1 + w) - mu, within
+eps (1 + w) of its exact value.  When M factors, each diagonal entry
+c - G_ii is >= 0, so tr(M) <= s c, and lambda_max(G_T) <=
+c + (s (s + 1) + 1/2) eps c, counting the rounding of each c - G_ii.  So
+lambda_max(G_T) <= 1 + w - mu + (s + 1)^2 eps (1 + w), and ||G_T||_2 <=
+1 + w bounds eigvalsh's error by _MARGIN s^2 eps (1 + w): the computed
+largest eigenvalue is at most 1 + w.  The lower test mirrors this, with
+tr(M) <= tr(G_T) <= s (1 + w) once the upper test has passed.  Rounding
+is monotone and w is a double, so a certified support's computed
+deviation is at most w.
+
+So no skipped support could have raised the computed maximum, and the
+value is bit for bit that of a scan that solves every support, in any
+order.  supports_checked counts the supports covered, solved or skipped.
 
 Only the producer of the bounds differs.  The Monte Carlo scan sums each
-sampled support's pairs.  The exact scan visits supports in colex order,
-grouped by their largest index L, so each is an (s - 1)-prefix drawn from
-range(L) followed by L; it forms each prefix's row sums once and shares
-them across every L that extends it, and generates prefixes in bounded
-chunks (see _colex_chunks).
+sampled support's pairs and solves each block of _BLOCK draws.  The exact
+scan visits supports in colex order, grouped by their largest index L, so
+each is an (s - 1)-prefix drawn from range(L) followed by L; it forms each
+prefix's row sums once and shares them across every L that extends it,
+and generates prefixes in bounded chunks (see _colex_chunks).  Until w > 0
+it solves each L group alone.  After that it pools the live supports
+(bound >= w) of successive groups, as prefix column, L and bound, and
+solves the pool once the next group would take it past _BLOCK supports
+and at the end of each colex chunk.  So its chunks are full, and the pool
+holds at most _BLOCK supports, as the colex chunk holds _BLOCK prefixes.
 
 Normalization is always the caller's job: nothing here rescales inputs,
 except for projected_matrix whose 1/sqrt(ell) factor is part of its
@@ -40,7 +73,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
 from itertools import combinations
 
 import numpy as np
@@ -52,16 +84,18 @@ from .rng import RngStream
 
 ENUMERATION_CAP = 10**6
 # Supports per Monte Carlo block and prefixes per exact chunk; supports per
-# eigvalsh call.
+# eigvalsh or Cholesky call.
 _BLOCK = 16_384
 _CHUNK = 256
-# The pruning margin is _MARGIN * s^2 * u * (max_i R_i + 1).  eigvalsh is
-# backward stable: it returns the exact eigenvalues of G_T + E with
-# ||E||_2 <= p(s) u ||G_T||_2, p a low-degree polynomial (O(s^2) in the
-# worst-case analysis of the Householder reduction), so by Weyl's theorem
-# each computed eigenvalue is within p(s) u max_i R_i of the exact one.  The
-# row sums, in any summation order, and the subtractions of 1 add at most
-# (s + 2) u (max_i R_i + 1).
+# The pruning margin is _MARGIN * s^2 * eps * (max_i R_i + 1), eps the
+# machine epsilon (twice the unit roundoff u).  eigvalsh is backward stable:
+# it returns the exact eigenvalues of G_T + E with ||E||_2 <= p(s) u
+# ||G_T||_2, p a low-degree polynomial (O(s^2) in the worst-case analysis of
+# the Householder reduction), so by Weyl's theorem each computed eigenvalue
+# is within p(s) u ||G_T||_2 <= p(s) u max_i R_i of the exact one.  The row
+# sums, in any summation order, and the subtractions of 1 add at most
+# (s + 2) u (max_i R_i + 1).  The certification margin mu uses the
+# eigensolver's part, _MARGIN s^2 eps ||G_T||_2.
 _MARGIN = 8.0
 _EPS = float(np.finfo(np.float64).eps)
 
@@ -83,22 +117,54 @@ def _bound(top: np.ndarray, low: np.ndarray, s: int) -> np.ndarray:
 
 
 def _deviation(gram: np.ndarray, supports: np.ndarray, worst: float) -> float:
-    """max(worst, the largest eigenvalue deviation from 1 over the support rows)."""
+    """max(worst, the largest eigenvalue deviation from 1 over the support
+    rows): worst itself if the chunk is certified (see the module
+    docstring), else by eigvalsh.  At worst = 0 no chunk can be certified,
+    so none is tested."""
     n = gram.shape[0]
-    w = np.linalg.eigvalsh(gram.ravel().take(supports[:, :, None] * n + supports[:, None, :]))
+    subs = gram.ravel().take(supports[:, :, None] * n + supports[:, None, :])
+    if worst > 0.0 and _certified(subs, worst):
+        return worst
+    w = np.linalg.eigvalsh(subs)
     return max(worst, float(np.max(np.maximum(w[:, -1] - 1.0, 1.0 - w[:, 0]))))
+
+
+def _factors(mats: np.ndarray) -> bool:
+    """Whether Cholesky runs to completion on every matrix of mats."""
+    try:
+        np.linalg.cholesky(mats)
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
+def _certified(subs: np.ndarray, worst: float) -> bool:
+    """Whether Cholesky certifies that no s x s matrix of subs has a
+    computed deviation above worst (see the module docstring)."""
+    s = subs.shape[-1]
+    mu = (_MARGIN * s * s + (s + 1) ** 2) * _EPS * (1.0 + worst)
+    diag = np.arange(s)
+    mats = -subs
+    mats[:, diag, diag] += 1.0 + worst - mu
+    if not _factors(mats):
+        return False
+    if worst >= 1.0 + mu:
+        return True
+    np.copyto(mats, subs)
+    mats[:, diag, diag] -= 1.0 - worst + mu
+    return _factors(mats)
 
 
 def _solve(gram: np.ndarray, bound: np.ndarray, supports, worst: float) -> float:
     """max(worst, the worst eigenvalue deviation from 1 over a block).
 
     supports(idx) returns the block's supports idx as rows of ascending
-    indices.  Supports are solved with eigvalsh _CHUNK at a time in
-    descending order of bound, until the next bound is below the running
-    maximum; see the module docstring.
+    indices.  Supports are taken _CHUNK at a time in descending order of
+    bound, until the next bound is below the running maximum, and each
+    chunk is certified or solved; see the module docstring.
     """
     live = np.flatnonzero(bound >= worst)
-    live = live[np.argsort(-bound[live])]
+    live = live[np.argsort(bound[live])[::-1]]
     for lo in range(0, live.size, _CHUNK):
         chunk = live[lo:lo + _CHUNK]
         if bound[chunk[0]] < worst:
@@ -137,6 +203,7 @@ def _colex_chunks(n: int, s: int):
         for i in range(k, 0, -1):
             prefixes[i - 1] = np.searchsorted(table[i - 1], rank, side="right") - 1
             rank -= table[i - 1][prefixes[i - 1]]
+        del rank  # not held while the chunk is scanned
         extensions = []
         for last in range(n - 1, k - 1, -1):
             count = min(hi, math.comb(last, k)) - lo
@@ -146,48 +213,85 @@ def _colex_chunks(n: int, s: int):
         yield prefixes, extensions
 
 
-def _extend(prefixes: np.ndarray, last: int, idx: np.ndarray) -> np.ndarray:
-    """Supports idx of a colex block: prefix columns idx followed by last."""
-    t = np.empty((idx.size, prefixes.shape[0] + 1), dtype=np.intp)
-    t[:, :-1] = prefixes[:, idx].T
-    t[:, -1] = last
-    return t
+def _extension_live(gram: np.ndarray, prefixes: np.ndarray, rows: np.ndarray,
+                    lows: np.ndarray, last: int, count: int, worst: float,
+                    col: np.ndarray, tmp: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The live supports of a colex chunk with largest index last, as their
+    prefix columns and their _bound values (bound >= worst).
+
+    The supports are the first count prefixes, each followed by last; rows
+    and lows hold each prefix column's R_i over its own pairs and
+    2 G_ii - R_i, and col and tmp are scratch.  A support adds the column of
+    last, by s - 1 one-dimensional takes from row last of G (its lower
+    triangle, which eigvalsh reads).
+    """
+    diag = np.diagonal(gram)
+    row = np.abs(gram[last])
+    rlast = np.full(count, abs(diag[last]))
+    top = np.zeros(count)
+    low = np.full(count, np.inf)
+    for i in range(prefixes.shape[0]):
+        v = row.take(prefixes[i, :count], out=col[:count])
+        rlast += v
+        np.maximum(top, np.add(rows[i, :count], v, out=tmp[:count]), out=top)
+        np.minimum(low, np.subtract(lows[i, :count], v, out=tmp[:count]), out=low)
+    np.maximum(top, rlast, out=top)
+    np.minimum(low, 2.0 * diag[last] - rlast, out=low)
+    bound = _bound(top, low, prefixes.shape[0] + 1)
+    live = np.flatnonzero(bound >= worst)
+    return live, bound[live]
+
+
+def _solve_pool(gram: np.ndarray, prefixes: np.ndarray, pool: list, worst: float) -> float:
+    """_solve over pooled (last, prefix columns, bounds) groups of one colex
+    chunk's supports; empties pool."""
+    if not pool:
+        return worst
+    lasts = np.array([last for last, _, _ in pool])
+    ends = np.cumsum([c.size for _, c, _ in pool])
+    cols = np.concatenate([c for _, c, _ in pool])
+    bound = np.concatenate([b for _, _, b in pool])
+    pool.clear()
+
+    def supports(idx):
+        t = np.empty((idx.size, prefixes.shape[0] + 1), dtype=np.intp)
+        t[:, :-1] = prefixes[:, cols[idx]].T
+        t[:, -1] = lasts[np.searchsorted(ends, idx, side="right")]
+        return t
+
+    return _solve(gram, bound, supports, worst)
 
 
 def _scan_chunk(gram: np.ndarray, prefixes: np.ndarray, extensions, worst: float) -> float:
     """max(worst, the worst deviation over one chunk of _colex_chunks).
 
     Each prefix's diagonal entries and row sums over its own pairs are
-    formed once; a support then adds the column of its largest index L,
-    by s - 1 one-dimensional takes from row L of G (its lower triangle,
-    which eigvalsh reads).
+    formed once and shared by every L that extends it (_extension_live);
+    the live supports of the L groups are pooled as the module docstring
+    describes.
     """
     k = prefixes.shape[0]
     diag = np.diagonal(gram)
     # Per prefix column: R_i over the prefix's own pairs, and 2 G_ii - R_i.
     lows = diag[prefixes]
     rows = np.abs(lows)
+    col, tmp = np.empty(prefixes.shape[1]), np.empty(prefixes.shape[1])
     for p, q in combinations(range(k), 2):
-        pair = np.abs(gram[prefixes[q], prefixes[p]])
+        pair = np.abs(gram[prefixes[q], prefixes[p]], out=col)
         rows[p] += pair
         rows[q] += pair
     lows *= 2.0
     lows -= rows
-    col, tmp = np.empty(prefixes.shape[1]), np.empty(prefixes.shape[1])
+    pool, pooled = [], 0
     for last, count in extensions:
-        row = np.abs(gram[last])
-        rlast = np.full(count, abs(diag[last]))
-        top = np.zeros(count)
-        low = np.full(count, np.inf)
-        for i in range(k):
-            v = row.take(prefixes[i, :count], out=col[:count])
-            rlast += v
-            np.maximum(top, np.add(rows[i, :count], v, out=tmp[:count]), out=top)
-            np.minimum(low, np.subtract(lows[i, :count], v, out=tmp[:count]), out=low)
-        np.maximum(top, rlast, out=top)
-        np.minimum(low, 2.0 * diag[last] - rlast, out=low)
-        worst = _solve(gram, _bound(top, low, k + 1), partial(_extend, prefixes, last), worst)
-    return worst
+        live, bound = _extension_live(gram, prefixes, rows, lows, last, count, worst, col, tmp)
+        if pooled + live.size > _BLOCK:
+            worst, pooled = _solve_pool(gram, prefixes, pool, worst), 0
+        pool.append((last, live, bound))
+        pooled += live.size
+        if worst == 0.0:
+            worst, pooled = _solve_pool(gram, prefixes, pool, worst), 0
+    return _solve_pool(gram, prefixes, pool, worst)
 
 
 def ric_exact(a, s: int) -> RipEstimate:

@@ -416,23 +416,26 @@ def test_cold_basis_memory_is_linear_in_m():
 
 
 def test_basis_at_ell_near_m_holds_at_most_m_lanczos_rows():
-    """Peak memory of a cold (800, 2, 710) basis, where Lanczos stops at
-    k = 799 (checks at k = 711 and 799).
+    """Peak memory of a cold basis at (800, 2, 710), where Lanczos stops at
+    k = 799 (checks at k = 711 and 799), and at (400, 3, 250).
 
     In units of m^2 doubles, at most: the two Lanczos row sequences, each
-    capped at m rows (2); the factors P and Q^T of the previous check's
-    B_k, alive until the next factorization returns (2); the current B_k
-    (1) and its new factors (2).  That is 7 m^2 doubles, 35.8 MB.  Row
-    sequences started at 2 ell + 8 = 1428 rows would alone take 3.57 m^2
-    (41.8 MB measured in all).
+    capped at m rows (2); one B_k and its factors P and Q^T while it is
+    factored, or the last factors and the ell x m rows returned (3; the
+    previous check's factors are dropped first).  Beside
+    them, the alpha and beta lists (2m Python floats, 32 bytes each with
+    their list slots) and a few m-vectors: 128 m bytes.  That is 5 m^2
+    doubles and 128 m bytes, 25.7 MB at m = 800.  Keeping the previous
+    factors alive measured 33.7 and 7.2 MB; row sequences started at
+    2 ell + 8 = 1428 rows 41.8 MB at (800, 2, 710).
     """
-    m, r, ell = 800, 2, 710
-    difference._kept.clear()
-    tracemalloc.start()
-    try:
-        w = projected_basis(m, r, ell)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert w.shape == (ell, m)
-    assert peak <= 7 * m * m * 8
+    for m, r, ell in ((800, 2, 710), (400, 3, 250)):
+        difference._kept.clear()
+        tracemalloc.start()
+        try:
+            w = projected_basis(m, r, ell)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert w.shape == (ell, m)
+        assert peak <= 5 * m * m * 8 + 128 * m

@@ -145,9 +145,51 @@ STARS_AFTER_DECOYS = [
 ]
 
 
+def equicorrelated(n, corr):
+    """Columns whose Gram matrix is (1 - corr) I + corr J up to rounding."""
+    return np.linalg.cholesky((1.0 - corr) * np.eye(n) + corr * np.ones((n, n))).T
+
+
+# Instances that run each branch of the Cholesky certification at _CHUNK = 1
+# and at 256 (test_certification_branches_run), as (a, s):
+# - running maximum below 1, every chunk certified;
+# - below 1, a chunk that passes the upper test and fails the lower one:
+#   the pair (0, 1) has eigenvalues 0.5 and 1.1 and comes after every
+#   support with column 2, whose deviations are 0.2, so a scan without the
+#   lower test returns 0.2;
+# - at least 1, a certified chunk (and a failed one at _CHUNK = 1);
+# - at least 1, identical columns: every support ties the maximum and fails.
+CERTIFIED_BELOW_ONE = (sample_matrix(Ensemble("gaussian"), 40, 12, RngStream(0)) / math.sqrt(40), 3)
+LOWER_SIDE_SETS_THE_MAXIMUM = (columns_with_gram([0.8, 0.8, 1.0], {(0, 1): 0.3}), 2)
+CERTIFIED_ABOVE_ONE = (sample_matrix(Ensemble("gaussian"), 8, 10, RngStream(3)) / math.sqrt(8), 4)
+TIES_ABOVE_ONE = (np.ones((3, 8)) / math.sqrt(3), 3)
+CERTIFICATION_CASES = [CERTIFIED_BELOW_ONE, LOWER_SIDE_SETS_THE_MAXIMUM,
+                       CERTIFIED_ABOVE_ONE, TIES_ABOVE_ONE]
+# Every support's deviations tie to within a few ulps, on the lower side at
+# corr < 0 and on the upper side at corr > 0: only the margin mu keeps a
+# chunk that ties the maximum from being certified, and without it the
+# value drops by ulps.
+NEAR_TIES = [(equicorrelated(10, -0.1), 3), (equicorrelated(8, -0.1), 5),
+             (equicorrelated(12, 0.1), 4)]
+
+
 @settings(max_examples=120, deadline=None, derandomize=True)
 @given(scan_inputs(), st.integers(1, 40), st.integers(0, 2**32),
        st.sampled_from([(16_384, 256), (5, 2), (3, 1), (1, 1)]))
+@example(CERTIFIED_BELOW_ONE, 40, 4, (16_384, 1))
+@example(CERTIFIED_BELOW_ONE, 40, 4, (16_384, 256))
+@example(LOWER_SIDE_SETS_THE_MAXIMUM, 40, 5, (16_384, 1))
+@example(LOWER_SIDE_SETS_THE_MAXIMUM, 40, 5, (16_384, 256))
+@example(CERTIFIED_ABOVE_ONE, 40, 6, (16_384, 1))
+@example(CERTIFIED_ABOVE_ONE, 40, 6, (16_384, 256))
+@example(TIES_ABOVE_ONE, 40, 7, (16_384, 1))
+@example(TIES_ABOVE_ONE, 40, 7, (16_384, 256))
+@example(NEAR_TIES[0], 40, 8, (16_384, 1))
+@example(NEAR_TIES[0], 40, 8, (16_384, 256))
+@example(NEAR_TIES[1], 40, 9, (16_384, 1))
+@example(NEAR_TIES[1], 40, 9, (16_384, 256))
+@example(NEAR_TIES[2], 40, 10, (16_384, 1))
+@example(NEAR_TIES[2], 40, 10, (16_384, 256))
 @example((np.eye(3), 3), 1, 0, (16_384, 256))
 @example((np.diag([1.5, 0.5, 1.5, 0.5]), 2), 30, 1, (5, 2))
 @example((np.diag([1.5, 0.5, 1.5, 0.5, 1.25, 0.75]), 3), 30, 2, (1, 1))
@@ -168,11 +210,28 @@ def test_pruned_scans_equal_every_support_scan(inputs, trials, seed, sizes):
     assert mc_stream.counter == ref_stream.counter
 
 
-def test_exact_scan_solves_few_supports_on_rip_diag_instance(monkeypatch):
-    # The first exact instance of the rip-diag benchmark workload (seed
-    # 20240): a gaussian 200 x 48 matrix, its scaled 16-row order-2
-    # projection and delta_4 over all comb(48, 4) = 194,580 supports.
-    # Losing the pruning sends every support to eigvalsh.
+@pytest.mark.parametrize("chunk", [1, 256])
+def test_certification_branches_run(monkeypatch, chunk):
+    # Each branch of the certification runs on CERTIFICATION_CASES:
+    # certified and not, with the running maximum below 1 (both sides
+    # factored) and at least 1 (the upper side alone).
+    ran = set()
+    certified = rip._certified
+
+    def counting(subs, worst):
+        result = certified(subs, worst)
+        ran.add((worst < 1.0, result))
+        return result
+
+    monkeypatch.setattr(rip, "_certified", counting)
+    monkeypatch.setattr(rip, "_CHUNK", chunk)
+    for a, s in CERTIFICATION_CASES:
+        ric_exact(a, s)
+    assert ran == {(True, True), (True, False), (False, True), (False, False)}
+
+
+def count_solved(monkeypatch) -> list:
+    """The sizes of the eigvalsh calls made from now on, appended as made."""
     solved = []
     eigvalsh = np.linalg.eigvalsh
 
@@ -180,10 +239,32 @@ def test_exact_scan_solves_few_supports_on_rip_diag_instance(monkeypatch):
         solved.append(x.shape[0])
         return eigvalsh(x)
 
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+    return solved
+
+
+def test_exact_scan_solves_few_supports_at_large_s(monkeypatch):
+    # delta_9 of a gaussian 100 x 18 matrix scaled by 1/10 (value 0.60),
+    # over comb(18, 9) = 48,620 supports.  The Gershgorin bound is loose at
+    # s = 9: it leaves 48,595 supports for eigvalsh.  The certification
+    # leaves 1,280.
+    a = sample_matrix(Ensemble("gaussian"), 100, 18, RngStream(1809)) / 10
+    solved = count_solved(monkeypatch)
+    est = ric_exact(a, 9)
+    assert est.supports_checked == 48_620
+    assert sum(solved) < 0.1 * 48_620
+    assert est.value == ric_exact_reference(a, 9)
+
+
+def test_exact_scan_solves_few_supports_on_rip_diag_instance(monkeypatch):
+    # The first exact instance of the rip-diag benchmark workload (seed
+    # 20240): a gaussian 200 x 48 matrix, its scaled 16-row order-2
+    # projection and delta_4 over all comb(48, 4) = 194,580 supports.
+    # Losing the pruning sends every support to eigvalsh.
     phi = sample_matrix(Ensemble("gaussian"), 200, 48,
                         RngStream(20240).substream(("exact", "matrix", 0)))
     a = projected_matrix(phi, 2, 16)
-    monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+    solved = count_solved(monkeypatch)
     est = ric_exact(a, 4)
     assert est.supports_checked == 194_580
     assert sum(solved) < 0.1 * 194_580
@@ -205,15 +286,35 @@ def test_colex_chunks_visit_every_support_once(n, block):
         assert sorted(seen) == list(combinations(range(n), s))
 
 
-@pytest.mark.parametrize(("n", "s"), [(70, 4), (20, 10)])
-def test_exact_scan_memory_is_bounded_by_the_chunk(n, s):
+@pytest.mark.parametrize(("n", "s", "fills"), [
+    pytest.param(70, 4, False, id="70-4"),
+    pytest.param(20, 10, False, id="20-10"),
+    pytest.param(20, 10, True, id="20-10-live-supports-fill-the-pool"),
+])
+def test_exact_scan_memory_is_bounded_by_the_chunk(monkeypatch, n, s, fills):
     # Memory is the Gram matrix, a chunk of _BLOCK prefixes (indices, row
     # sums and 2 G_ii - R_i, s - 1 of each per prefix) and block-sized
-    # vectors, whatever comb(n - 1, s - 1) is: with all prefixes in one
-    # chunk the peak is 8.0 MiB at (70, 4) and 26.8 MiB at (20, 10).  The
-    # last s columns correlate pairwise by 0.1, so delta_s = (s - 1) 0.1 and
-    # the Gershgorin bound is exact on every support: few reach eigvalsh.
-    a = columns_with_gram(np.ones(n), {pair: 0.1 for pair in combinations(range(n - s, n), 2)})
+    # vectors, the pool of live supports among them, whatever
+    # comb(n - 1, s - 1) is: with all prefixes in one chunk the peak is
+    # 8.0 MiB at (70, 4) and 26.8 MiB at (20, 10).
+    if fills:
+        # Gaussian, delta_10 = 0.84: the Gershgorin bound is loose at
+        # s = 10, so live supports fill the pool to its cap.  A pool solved
+        # only at the end of each chunk peaks at 5.6 MiB here.
+        a = sample_matrix(Ensemble("gaussian"), 100, n, RngStream(7)) / 10
+    else:
+        # The last s columns correlate pairwise by 0.1, so delta_s =
+        # (s - 1) 0.1 and the Gershgorin bound is exact on every support:
+        # few reach eigvalsh.
+        a = columns_with_gram(np.ones(n), {pair: 0.1 for pair in combinations(range(n - s, n), 2)})
+    solved = []
+    solve = rip._solve
+
+    def recording(gram, bound, supports, worst):
+        solved.append(bound.size)
+        return solve(gram, bound, supports, worst)
+
+    monkeypatch.setattr(rip, "_solve", recording)
     budget = 8 * (n * n + 3 * (s - 1) * rip._BLOCK) + 2 * 2**20
     tracemalloc.start()
     try:
@@ -221,7 +322,10 @@ def test_exact_scan_memory_is_bounded_by_the_chunk(n, s):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert est.value == pytest.approx((s - 1) * 0.1, rel=1e-12)
+    if fills:
+        assert max(solved) > 0.9 * rip._BLOCK
+    else:
+        assert est.value == pytest.approx((s - 1) * 0.1, rel=1e-12)
     assert math.comb(n - 1, s - 1) > rip._BLOCK
     assert peak <= budget
 
