@@ -20,6 +20,19 @@ time, builds each of its keys once.  Every build checks (m, r) with
 check_exact_power.  Both functions hand every caller the kept array
 itself, read-only, so a warm call copies nothing.
 
+The dense power lives in a private anonymous memory mapping of its own,
+viewed as a C-contiguous m x m array (see _dense_power), of which only the
+entries on and below the diagonal are written.  Linux backs a private
+anonymous page with memory only once it is written; until then every read
+of it, the BLAS products over the upper triangle included, sees one shared
+page of zeros.  So the pages wholly above the diagonal, about half the
+array, cost no resident memory, while every product reads the same values
+in the same layout as from an ordinary array.  Huge pages are refused for
+the mapping: a huge page is backed whole at its first write, and one spans
+rows on both sides of the diagonal.  The mapping is unmapped when the last
+reference to the array goes, once the dict drops it and no caller still
+holds it.
+
 A basis is formed from running sums alone (see _top_right_rows), never
 from the dense power, which only the reconstruction asks for.
 """
@@ -27,9 +40,9 @@ from the dense power, which only the reconstruction asks for.
 from __future__ import annotations
 
 import math
+import mmap
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 # Lanczos stop: the bound on the sine of the largest principal angle to the
 # exact top-ell subspace is at most _BASIS_TOL, or at most
@@ -101,10 +114,25 @@ def difference_power(m: int, r: int) -> np.ndarray:
 def _dense_power(m: int, r: int) -> np.ndarray:
     unit = np.zeros(m)
     unit[0] = 1.0
-    # With c the first column, row i is c_i, ..., c_0 followed by zeros, the
-    # reverse of the length-m window of [0, ..., 0, c_0, ..., c_{m-1}] at i.
-    padded = np.concatenate([np.zeros(m - 1), _apply_power(unit, r)])
-    return sliding_window_view(padded, m)[:, ::-1].copy()
+    reversed_column = _apply_power(unit, r)[::-1]
+    power = _zero_mapped(m)
+    # With c the first column, row i is c_i, ..., c_0 followed by zeros that
+    # are never written (see the module docstring).
+    for i in range(m):
+        power[i, :i + 1] = reversed_column[m - 1 - i:]
+    return power
+
+
+def _zero_mapped(m: int) -> np.ndarray:
+    """An m x m array of zeros in a private anonymous mapping of its own,
+    with huge pages refused where the platform allows it."""
+    if hasattr(mmap, "MAP_PRIVATE"):
+        buffer = mmap.mmap(-1, 8 * m * m, flags=mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS)
+    else:  # Windows: an anonymous mapping reads as zeros all the same
+        buffer = mmap.mmap(-1, 8 * m * m)
+    if hasattr(mmap, "MADV_NOHUGEPAGE"):
+        buffer.madvise(mmap.MADV_NOHUGEPAGE)
+    return np.frombuffer(buffer, dtype=np.float64).reshape(m, m)
 
 
 def _apply_power(x: np.ndarray, r: int) -> np.ndarray:

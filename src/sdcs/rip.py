@@ -18,7 +18,13 @@ semidefinite.
   of that bound, _CHUNK at a time, and stops once the next bound plus a
   rounding margin is below the running maximum w.  The margin covers the
   backward error of the eigensolver and of the row sums, in any summation
-  order (_MARGIN).
+  order (_MARGIN).  The exact scan drops the lower term once
+  w > 1 + _MARGIN s^2 eps (2 + w): a support whose lower term, at most 1,
+  exceeds its upper term top - 1 has top - 1 < 1 < w, so its margin is
+  below _MARGIN s^2 eps (2 + w) and its bound, with or without the lower
+  term, below w.  Each step of the bound rounds monotonically, so this
+  holds in floating point too, and the live supports, their bounds and
+  their order are those of the full bound.
 - Cholesky.  Once w > 0, each chunk is first certified or not: one batched
   Cholesky factorization of (1 + w - mu) I - G_T, and, while w < 1 + mu,
   one of G_T - (1 - w + mu) I.  A chunk where every factorization runs to
@@ -108,12 +114,12 @@ class RipEstimate:
     supports_checked: int
 
 
-def _bound(top: np.ndarray, low: np.ndarray, s: int) -> np.ndarray:
+def _bound(top: np.ndarray, low: np.ndarray | None, s: int) -> np.ndarray:
     """Gershgorin bound on the deviation plus the pruning margin, from each
     support's largest absolute row sum top = max_i R_i and low =
-    min_i (2 G_ii - R_i)."""
-    return (np.maximum(top - 1.0, 1.0 - np.maximum(low, 0.0))
-            + _MARGIN * s * s * _EPS * (top + 1.0))
+    min_i (2 G_ii - R_i); the upper term alone where low is None."""
+    dev = top - 1.0 if low is None else np.maximum(top - 1.0, 1.0 - np.maximum(low, 0.0))
+    return dev + _MARGIN * s * s * _EPS * (top + 1.0)
 
 
 def _deviation(gram: np.ndarray, supports: np.ndarray, worst: float) -> float:
@@ -223,21 +229,25 @@ def _extension_live(gram: np.ndarray, prefixes: np.ndarray, rows: np.ndarray,
     and lows hold each prefix column's R_i over its own pairs and
     2 G_ii - R_i, and col and tmp are scratch.  A support adds the column of
     last, by s - 1 one-dimensional takes from row last of G (its lower
-    triangle, which eigvalsh reads).
+    triangle, which eigvalsh reads).  Past w > 1 + _MARGIN s^2 eps (2 + w)
+    the lower term is not formed (see the module docstring).
     """
+    s = prefixes.shape[0] + 1
     diag = np.diagonal(gram)
     row = np.abs(gram[last])
     rlast = np.full(count, abs(diag[last]))
     top = np.zeros(count)
-    low = np.full(count, np.inf)
-    for i in range(prefixes.shape[0]):
+    low = None if worst > 1.0 + _MARGIN * s * s * _EPS * (2.0 + worst) else np.full(count, np.inf)
+    for i in range(s - 1):
         v = row.take(prefixes[i, :count], out=col[:count])
         rlast += v
         np.maximum(top, np.add(rows[i, :count], v, out=tmp[:count]), out=top)
-        np.minimum(low, np.subtract(lows[i, :count], v, out=tmp[:count]), out=low)
+        if low is not None:
+            np.minimum(low, np.subtract(lows[i, :count], v, out=tmp[:count]), out=low)
     np.maximum(top, rlast, out=top)
-    np.minimum(low, 2.0 * diag[last] - rlast, out=low)
-    bound = _bound(top, low, prefixes.shape[0] + 1)
+    if low is not None:
+        np.minimum(low, 2.0 * diag[last] - rlast, out=low)
+    bound = _bound(top, low, s)
     live = np.flatnonzero(bound >= worst)
     return live, bound[live]
 

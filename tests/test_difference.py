@@ -1,5 +1,10 @@
 import math
+import mmap
+import os
+import subprocess
+import sys
 import tracemalloc
+import weakref
 from functools import lru_cache
 
 import numpy as np
@@ -15,6 +20,7 @@ from sdcs.rng import RngStream
 
 GOLDEN = (1.0 + math.sqrt(5.0)) / 2.0
 EPS = float(np.finfo(np.float64).eps)
+SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src")
 
 
 def test_difference_matrix_small():
@@ -76,33 +82,79 @@ def test_inverse_power_entries_stay_exact_doubles():
 
 
 def test_inverse_power_builds_without_index_arrays():
+    # The power's own pages are a memory mapping, which tracemalloc does not
+    # see; what it sees is the build's temporaries: the unit vector and at
+    # most two running sums at once (3 m-vectors), plus a few small objects.
+    # Any m x m temporary (8 MB here) would break the bound.
+    m = 1000
     difference._kept.clear()
     tracemalloc.start()
     try:
-        inv = difference_power(1000, 3)
+        difference_power(m, 3)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 1.5 * inv.nbytes
+    assert peak <= 4 * 8 * m
 
 
-def test_difference_power_holds_one_dense_power_at_a_time():
+def test_difference_power_holds_one_dense_power_at_a_time(monkeypatch):
     # The kept power is released before the next is built, so building a
-    # third (m, r) never has two others alive beside it.
+    # second and a third (m, r) finds no earlier power alive.  tracemalloc
+    # cannot see the powers' mappings, so each is watched by a weak reference.
+    dense = difference._dense_power
+    built = []
+
+    def watched(m, r):
+        assert [ref for ref in built if ref() is not None] == []
+        power = dense(m, r)
+        built.append(weakref.ref(power))
+        return power
+
+    monkeypatch.setattr(difference, "_dense_power", watched)
     difference._kept.clear()
-    tracemalloc.start()
-    try:
-        difference_power(500, 1)
-        difference_power(500, 2)
-        held = tracemalloc.get_traced_memory()[0]
-        tracemalloc.reset_peak()
-        inv = difference_power(500, 3)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert held <= 1.5 * inv.nbytes
-    assert peak <= 1.5 * inv.nbytes
+    difference_power(500, 1)
+    difference_power(500, 2)
+    inv = difference_power(500, 3)
+    assert len(built) == 3
     assert difference_power(500, 3) is inv
+
+
+RESIDENT_GROWTH = """
+import numpy as np
+from sdcs.difference import difference_power
+
+def resident():
+    with open("/proc/self/status") as status:
+        return next(int(line.split()[1]) * 1024 for line in status
+                    if line.startswith("VmRSS:"))
+
+m = 2000
+a, v = np.ones((m, 5)), np.ones(m)
+# the first products start BLAS's threads and buffers, before the baseline
+plain = np.ones((m, m))
+plain @ a, plain @ v
+del plain
+before = resident()
+inv = difference_power(m, 3)
+inv @ a, inv @ v
+print((resident() - before) / (8 * m * m))
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux") or mmap.PAGESIZE != 4096,
+                    reason="reads VmRSS from /proc; the bound is for 4 KiB pages")
+def test_dense_power_upper_triangle_stays_off_resident_memory():
+    # Only the lower triangle of the power is written, and the pages wholly
+    # above the diagonal stay unbacked even once BLAS has read them (see the
+    # sdcs.difference module docstring).  Per row, at most one page partly
+    # above the diagonal is backed: 8 m^2 / 2 bytes and m pages of 4 KiB are
+    # 0.76 of 8 m^2 bytes at m = 2000.  A plain array is backed whole,
+    # about 1.0.
+    env = dict(os.environ, PYTHONPATH=SRC)
+    out = subprocess.run([sys.executable, "-c", RESIDENT_GROWTH],
+                         capture_output=True, text=True, env=env)
+    assert out.returncode == 0, out.stderr
+    assert float(out.stdout) <= 0.8
 
 
 @pytest.mark.parametrize("m", [1, 8, 33, 128])

@@ -316,6 +316,24 @@ class TestSobolev:
         got, _ = sobolev_reconstruct(phi, sig.support, phi @ x, r)
         assert np.max(np.abs(got - x)) <= 1e-8
 
+    @pytest.mark.parametrize(("m", "r"), [(100, 1), (800, 2), (2000, 3), (368, 9)])
+    def test_digits_equal_those_from_a_plain_power(self, monkeypatch, m, r):
+        # The kept power is a view of a memory mapping whose upper triangle
+        # is never written; BLAS must read from it the same values, in the
+        # same layout, as from a plain C-contiguous array, so every digit
+        # the reconstruction returns stays the same.
+        rng = RngStream(m + r)
+        n, support = 40, [3, 9, 17, 22, 38]
+        phi = rng.normals(m * n).reshape(m, n)
+        q = rng.normals(m)
+        x_hat, smin = sobolev_reconstruct(phi, support, q, r)
+        plain = inverse_difference_power(m, r)
+        assert plain.flags.c_contiguous
+        monkeypatch.setattr(recovery, "difference_power", lambda *_: plain)
+        want_x, want_smin = sobolev_reconstruct(phi, support, q, r)
+        assert np.array_equal(x_hat, want_x)
+        assert smin == want_smin
+
     def test_scalar_case(self):
         got, smin = sobolev_reconstruct(np.array([[2.0]]), [0], [3.0], 1)
         assert got == pytest.approx([1.5])

@@ -171,6 +171,11 @@ CERTIFICATION_CASES = [CERTIFIED_BELOW_ONE, LOWER_SIDE_SETS_THE_MAXIMUM,
 # value drops by ulps.
 NEAR_TIES = [(equicorrelated(10, -0.1), 3), (equicorrelated(8, -0.1), 5),
              (equicorrelated(12, 0.1), 4)]
+# The first group (largest index 4, squared norm 3) sets w = 2 > 1, so the
+# exact scan forms only the upper Gershgorin term from then on; each later
+# support with column 0 (squared norm 0.2) has a lower term, 0.8 or 0.9,
+# above its upper term.
+UPPER_TERM_ALONE = (columns_with_gram([0.2, 1, 1, 1, 3], {(1, 2): 0.3, (0, 3): 0.1}), 3)
 
 
 @settings(max_examples=120, deadline=None, derandomize=True)
@@ -190,6 +195,8 @@ NEAR_TIES = [(equicorrelated(10, -0.1), 3), (equicorrelated(8, -0.1), 5),
 @example(NEAR_TIES[1], 40, 9, (16_384, 256))
 @example(NEAR_TIES[2], 40, 10, (16_384, 1))
 @example(NEAR_TIES[2], 40, 10, (16_384, 256))
+@example(UPPER_TERM_ALONE, 40, 11, (16_384, 1))
+@example(UPPER_TERM_ALONE, 40, 11, (16_384, 256))
 @example((np.eye(3), 3), 1, 0, (16_384, 256))
 @example((np.diag([1.5, 0.5, 1.5, 0.5]), 2), 30, 1, (5, 2))
 @example((np.diag([1.5, 0.5, 1.5, 0.5, 1.25, 0.75]), 3), 30, 2, (1, 1))
