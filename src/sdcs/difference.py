@@ -58,13 +58,15 @@ def check_exact_power(m: int, r: int) -> None:
     """Raise ValueError unless m >= 1, r >= 1 and every entry of the r-th
     inverse power at m is an exact double.
 
-    This is the one statement of the supported (m, r) envelope: the
-    library's entry points (full_pipeline, SweepConfig, difference_power
-    and projected_basis) call it.  The entries are the binomials
-    C(k + r - 1, r - 1), k < m, increasing in k, so the largest is
-    C(m + r - 2, r - 1); doubles hold every integer up to 2^53 exactly.
+    The library's entry points (full_pipeline, SweepConfig,
+    difference_power and projected_basis) call it.  The entries are the
+    binomials C(k + r - 1, r - 1), k < m, increasing in k, so the largest
+    is C(m + r - 2, r - 1); doubles hold every integer up to 2^53 exactly.
     That allows m <= 368 at r = 9, m <= 4041 at r = 6 and any practical m
-    at r <= 3.
+    at r <= 3.  It is not the whole of what is supported: the command line
+    caps r at 3 (sdcs.cli), and (m, r) = (200, 9), inside this envelope,
+    gives support-correct rows whose err_l2 exceeds the error bound,
+    because b = D^{-r} q rounds.
     """
     if m < 1:
         raise ValueError("m must be >= 1")

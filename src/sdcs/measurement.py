@@ -132,14 +132,8 @@ def column_windows(ensemble: Ensemble, m: int, n: int, rng: RngStream):
     where sample_matrix leaves it."""
     if m < 1 or n < 1:
         raise ValueError("m and n must be >= 1")
-    normal = ensemble.kind == "gaussian"
-    width = max(1, _WINDOW // m)
-    for c0 in range(0, n, width):
-        window = rng._window(m, n, c0, min(n, c0 + width), normal)
-        if ensemble.kind == "column-model":
-            window = _column_root(window)
-        yield c0, window
-    rng._advance((2 if normal else 1) * m * n)  # a normal takes two raw draws
+    for c0, window in rng._windows(m, n, max(1, _WINDOW // m), ensemble.kind == "gaussian"):
+        yield c0, _column_root(window) if ensemble.kind == "column-model" else window
 
 
 def sample_sparse_signal(

@@ -49,13 +49,12 @@ helper.
 Column windows.  Read the stream's next m * n normals, or Rademacher
 signs, as the m x n matrix ``normals(m * n).reshape(m, n)``.  Entry (i, j)
 is normal p = i n + j, from raw draws 2p and 2p + 1 (sign p from raw draw
-p), a function of its position alone.  So ``RngStream._window`` forms the
-columns c0..c1-1 of that matrix without the rest of the draw: it puts the
-window's raw draws through the ufuncs that normals and rademacher use,
-which makes it bit for bit that slice of the whole draw.  It runs on the
-calling thread and leaves the counter where it is; a caller that walks
-the whole draw a window at a time moves the counter past it once at the
-end, with ``_advance``.
+p), a function of its position alone.  So ``RngStream._windows`` walks
+that matrix a few consecutive columns at a time without the rest of the
+draw: it puts each window's raw draws through the ufuncs that normals and
+rademacher use, which makes it bit for bit that slice of the whole draw.
+It runs on the calling thread, leaves the counter where it is while the
+windows are taken, and moves it past the whole draw once after the last.
 """
 
 from __future__ import annotations
@@ -230,27 +229,33 @@ class RngStream:
         bits = (self.uint64s(n) >> np.uint64(63)).astype(np.float64)
         return 1.0 - 2.0 * bits
 
-    def _window(self, m: int, n: int, c0: int, c1: int, normal: bool) -> np.ndarray:
-        """Columns c0..c1-1 of normals(m * n) (normal true) or of
-        rademacher(m * n), each read as an m x n matrix, bit for bit and
-        without moving the counter (see the module docstring)."""
-        if m < 0 or not 0 <= c0 <= c1 <= n:
-            raise ValueError("need m >= 0 and 0 <= c0 <= c1 <= n")
+    def _windows(self, m: int, n: int, width: int, normal: bool):
+        """Yield (c0, columns c0..c0+width-1 of normals(m * n) (normal true)
+        or of rademacher(m * n), each read as an m x n matrix) over
+        consecutive windows, the last possibly narrower, bit for bit; the
+        counter moves past the whole draw after the last window (see the
+        module docstring)."""
+        if m < 0 or n < 0 or width < 1:
+            raise ValueError("need m >= 0, n >= 0 and width >= 1")
         # Entry p = i n + j is normal p, from raw draws 2p and 2p + 1, or sign
         # p, from raw draw p: with w draws per entry, its first raw draw is
         # mix64(start + step), step = (w p + 1) GAMMA = w n GAMMA i + (w j + 1) GAMMA.
         w = 2 if normal else 1
         rows = np.arange(m, dtype=np.uint64) * np.uint64(w * n * _GAMMA & _MASK)
-        cols = np.arange(w * c0 + 1, w * c1 + 1, w, dtype=np.uint64) * np.uint64(_GAMMA)
-        steps = np.add.outer(rows, cols).ravel()
         start = self._key + self._counter * _GAMMA
-        if normal:
-            out = np.empty(steps.size)
-            _box_muller_into(start, out, *_scratch(min(steps.size, _NORMAL_BLOCK)), steps)
-        else:
-            _splitmix_into(start, steps, steps, np.empty_like(steps))
-            out = 1.0 - 2.0 * (steps >> np.uint64(63)).astype(np.float64)
-        return out.reshape(m, c1 - c0)
+        for c0 in range(0, n, width):
+            c1 = min(n, c0 + width)
+            cols = np.arange(w * c0 + 1, w * c1 + 1, w, dtype=np.uint64) * np.uint64(_GAMMA)
+            steps = np.add.outer(rows, cols).ravel()
+            if normal:
+                out = np.empty(steps.size)
+                _box_muller_into(start, out, *_scratch(min(steps.size, _NORMAL_BLOCK)), steps)
+            else:
+                _splitmix_into(start, steps, steps, np.empty_like(steps))
+                out = 1.0 - 2.0 * (steps >> np.uint64(63)).astype(np.float64)
+            del steps  # not held while the window is used
+            yield c0, out.reshape(m, c1 - c0)
+        self._counter += w * m * n
 
     def _draw(self) -> int:
         """Next raw 64-bit output as a Python int (one uint64s draw)."""

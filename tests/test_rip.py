@@ -178,6 +178,43 @@ NEAR_TIES = [(equicorrelated(10, -0.1), 3), (equicorrelated(8, -0.1), 5),
 UPPER_TERM_ALONE = (columns_with_gram([0.2, 1, 1, 1, 3], {(1, 2): 0.3, (0, 3): 0.1}), 3)
 
 
+def gram_rounded_below_zero(pairs):
+    """Columns in nearly dependent pairs, (0, 1), (2, 3), ..., whose
+    computed Gram matrix fl(A^T A) is indefinite by more than the scans'
+    rounding margins but within the floor g of the sdcs.rip docstring.
+
+    Each pair shares two rows of 1/2, so G_ii, and G_ij within a pair,
+    start at 1/2 exactly, and pairs are orthogonal.  Pair k then gets
+    pairs[k] event rows, one every 1024 rows, with t on its first column
+    and t' on its second: t^2 = 0.45 and t'^2 = 1.45 units in the last
+    place of 1/2 (2^-53), t t' = 0.81.  Each event is one product added to
+    a running sum in [1/2, 1): rounded, the two G_ii gain 0 and 1 unit and
+    G_ij gains 1, where the exact sums gain 0.45, 1.45 and 0.81.  So each
+    event lowers the computed determinant by 1/2 unit, and the pair's
+    computed smallest eigenvalue by eps / 4.  The sums stay coherent only
+    if no two events share a block of BLAS's inner dimension: OpenBLAS
+    0.3.31's Haswell kernels need a spacing of 384 rows or more.
+    """
+    t, t2 = math.sqrt(0.45) * 2.0**-26.5, math.sqrt(1.45) * 2.0**-26.5
+    head = 2 * len(pairs)
+    a = np.zeros((head + max(pairs) * 1024, head))
+    for k, events in enumerate(pairs):
+        a[2 * k:2 * k + 2, 2 * k:2 * k + 2] = 0.5
+        a[head:head + events * 1024:1024, 2 * k] = t
+        a[head:head + events * 1024:1024, 2 * k + 1] = t2
+    return a
+
+
+# The lower side of pair (2, 3), at 1 + 140 eps, sets the running maximum
+# in the exact scan's first group (largest index 3), and pair (0, 1), at
+# 1 + 175 eps, comes last.  Both lie above 1 + the rounding margin of the
+# lower-side rule (123 eps at s = 2) and below 1 + g (g = m eps S, about
+# 7e5 eps here): a scan that took the computed Gram for positive
+# semidefinite, in the rule's threshold or in the Gershgorin lower term,
+# prunes (0, 1) and returns 1 + 140 eps.
+GRAM_BELOW_ZERO = (gram_rounded_below_zero([700, 560]), 2)
+
+
 @settings(max_examples=120, deadline=None, derandomize=True)
 @given(scan_inputs(), st.integers(1, 40), st.integers(0, 2**32),
        st.sampled_from([(16_384, 256), (5, 2), (3, 1), (1, 1)]))
@@ -185,10 +222,12 @@ UPPER_TERM_ALONE = (columns_with_gram([0.2, 1, 1, 1, 3], {(1, 2): 0.3, (0, 3): 0
 @example(CERTIFIED_BELOW_ONE, 40, 4, (16_384, 256))
 @example(LOWER_SIDE_SETS_THE_MAXIMUM, 40, 5, (16_384, 1))
 @example(LOWER_SIDE_SETS_THE_MAXIMUM, 40, 5, (16_384, 256))
+@example(LOWER_SIDE_SETS_THE_MAXIMUM, 40, 5, (1, 1))
 @example(CERTIFIED_ABOVE_ONE, 40, 6, (16_384, 1))
 @example(CERTIFIED_ABOVE_ONE, 40, 6, (16_384, 256))
 @example(TIES_ABOVE_ONE, 40, 7, (16_384, 1))
 @example(TIES_ABOVE_ONE, 40, 7, (16_384, 256))
+@example(TIES_ABOVE_ONE, 40, 7, (5, 2))
 @example(NEAR_TIES[0], 40, 8, (16_384, 1))
 @example(NEAR_TIES[0], 40, 8, (16_384, 256))
 @example(NEAR_TIES[1], 40, 9, (16_384, 1))
@@ -197,6 +236,8 @@ UPPER_TERM_ALONE = (columns_with_gram([0.2, 1, 1, 1, 3], {(1, 2): 0.3, (0, 3): 0
 @example(NEAR_TIES[2], 40, 10, (16_384, 256))
 @example(UPPER_TERM_ALONE, 40, 11, (16_384, 1))
 @example(UPPER_TERM_ALONE, 40, 11, (16_384, 256))
+@example(GRAM_BELOW_ZERO, 40, 12, (16_384, 1))
+@example(GRAM_BELOW_ZERO, 40, 12, (1, 1))
 @example((np.eye(3), 3), 1, 0, (16_384, 256))
 @example((np.diag([1.5, 0.5, 1.5, 0.5]), 2), 30, 1, (5, 2))
 @example((np.diag([1.5, 0.5, 1.5, 0.5, 1.25, 0.75]), 3), 30, 2, (1, 1))
@@ -225,8 +266,8 @@ def test_certification_branches_run(monkeypatch, chunk):
     ran = set()
     certified = rip._certified
 
-    def counting(subs, worst):
-        result = certified(subs, worst)
+    def counting(subs, worst, floor):
+        result = certified(subs, worst, floor)
         ran.add((worst < 1.0, result))
         return result
 
@@ -235,6 +276,26 @@ def test_certification_branches_run(monkeypatch, chunk):
     for a, s in CERTIFICATION_CASES:
         ric_exact(a, s)
     assert ran == {(True, True), (True, False), (False, True), (False, False)}
+
+
+def test_both_scans_drop_the_lower_term_past_the_rule(monkeypatch):
+    # _extension_live (UPPER_TERM_ALONE) and the Monte Carlo bound
+    # (TIES_ABOVE_ONE, whose first block of 5 supports sets w = 2) each form
+    # the full bound while the lower side is live and the upper term alone
+    # once the lower-side rule holds.
+    lows = []
+    bound = rip._bound
+
+    def recording(top, low, s, floor):
+        lows.append(low is None)
+        return bound(top, low, s, floor)
+
+    monkeypatch.setattr(rip, "_bound", recording)
+    monkeypatch.setattr(rip, "_BLOCK", 5)
+    ric_exact(*UPPER_TERM_ALONE)
+    exact, lows[:] = set(lows), []
+    ric_monte_carlo(*TIES_ABOVE_ONE, 40, RngStream(7))
+    assert exact == set(lows) == {False, True}
 
 
 def count_solved(monkeypatch) -> list:
@@ -317,9 +378,9 @@ def test_exact_scan_memory_is_bounded_by_the_chunk(monkeypatch, n, s, fills):
     solved = []
     solve = rip._solve
 
-    def recording(gram, bound, supports, worst):
+    def recording(gram, bound, *args):
         solved.append(bound.size)
-        return solve(gram, bound, supports, worst)
+        return solve(gram, bound, *args)
 
     monkeypatch.setattr(rip, "_solve", recording)
     budget = 8 * (n * n + 3 * (s - 1) * rip._BLOCK) + 2 * 2**20

@@ -301,31 +301,34 @@ def test_normals_past_the_split_match_box_muller(n, c, seed):
 @example(130, 300, None, 1, 3, True)  # two blocks of normals in the window, the second short
 @example(3, 70_001, None, 5, 6, False)
 def test_window_is_that_slice_of_the_whole_draw(m, n, data, c, seed, normal):
-    """_window is the slice of normals(m n) or rademacher(m n) as an m x n
-    matrix, bit for bit, and moves no counter (whole columns when data is
-    None, as in the examples)."""
-    c0, c1 = 0, n
-    if data is not None:
-        c0 = data.draw(st.integers(0, n - 1))
-        c1 = data.draw(st.integers(c0 + 1, n))
+    """_windows yields consecutive slices of normals(m n) or rademacher(m n)
+    as an m x n matrix, bit for bit, moves no counter until the last window
+    is taken and then moves it past the whole draw (one window of whole
+    columns when data is None, as in the examples)."""
+    width = n if data is None else data.draw(st.integers(1, n))
     s, whole = RngStream(seed), RngStream(seed)
     s.uint64s(c)
     whole.uint64s(c)
-    got = s._window(m, n, c0, c1, normal)
-    assert s.counter == c
     draw = whole.normals(m * n) if normal else whole.rademacher(m * n)
-    want = np.ascontiguousarray(draw.reshape(m, n)[:, c0:c1])
-    assert got.shape == want.shape
-    assert got.tobytes() == want.tobytes()
+    want = draw.reshape(m, n)
+    starts = []
+    for c0, got in s._windows(m, n, width, normal):
+        starts.append(c0)
+        assert s.counter == c
+        assert got.tobytes() == np.ascontiguousarray(want[:, c0:c0 + width]).tobytes()
+    assert starts == list(range(0, n, width))
+    assert s.counter == whole.counter
 
 
 def test_window_validates():
     s = RngStream(0)
-    assert s._window(2, 4, 1, 1, True).shape == (2, 0)
-    for bad in ((-1, 4, 0, 1), (2, 4, 2, 1), (2, 4, 0, 5), (2, 4, -1, 1)):
+    assert [w.shape for _, w in s._windows(2, 4, 4, True)] == [(2, 4)]
+    assert s.counter == 16
+    assert list(s._windows(2, 0, 1, True)) == [] and s.counter == 16
+    for bad in ((-1, 4, 1), (2, -1, 1), (2, 4, 0), (2, 4, -1)):
         with pytest.raises(ValueError):
-            s._window(*bad, True)
-    assert s.counter == 0
+            next(s._windows(*bad, True))
+    assert s.counter == 16
 
 
 SPLIT_SIZES = [_SPLIT_MIN, _SPLIT_MIN + 7, 5 * _NORMAL_BLOCK + 1]
