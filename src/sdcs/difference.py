@@ -21,14 +21,26 @@ check_exact_power.  Both functions hand every caller the kept array
 itself, read-only, so a warm call copies nothing.
 
 The dense power lives in a private anonymous memory mapping of its own,
-viewed as a C-contiguous m x m array (see _dense_power), of which only the
-entries on and below the diagonal are written.  Linux backs a private
-anonymous page with memory only once it is written; until then every read
-of it, the BLAS products over the upper triangle included, sees one shared
-page of zeros.  So the pages wholly above the diagonal, about half the
-array, cost no resident memory, while every product reads the same values
-in the same layout as from an ordinary array.  Huge pages are refused for
-the mapping: a huge page is backed whole at its first write, and one spans
+viewed as an m x m array (see _dense_power), of which only the entries on
+and below the diagonal are written.  Linux backs a private anonymous page
+with memory only once it is written; until then every read of it, the BLAS
+products over the upper triangle included, sees one shared page of zeros.
+So the pages wholly above the diagonal cost no resident memory.
+
+Once a row spans at least a page, the row stride is m rounded up to a
+whole number of pages (see _zero_mapped), so every row starts on a page
+boundary and row i's written run, entries 0..i, backs
+ceil(8 (i + 1) / PAGESIZE) pages.  The zeros backed past each run then
+average half a page per row; at a stride of m doubles the runs start
+anywhere in a page, and about a page of zeros is backed per row.  Shorter
+rows keep the stride m, since padding them to a page would multiply the
+pages they span (5x at m = 100).  The padding columns are neither written nor read.
+The array is then not C-contiguous, but its columns have unit stride, so
+numpy hands it to BLAS without a copy, with the row stride as the leading
+dimension.  BLAS packs its operands into blocks of its own before it
+multiplies, so the stride enters no digit: every product returns the
+digits an ordinary array gives.  Huge pages are refused for the
+mapping: a huge page is backed whole at its first write, and one spans
 rows on both sides of the diagonal.  The mapping is unmapped when the last
 reference to the array goes, once the dict drops it and no caller still
 holds it.
@@ -127,14 +139,22 @@ def _dense_power(m: int, r: int) -> np.ndarray:
 
 def _zero_mapped(m: int) -> np.ndarray:
     """An m x m array of zeros in a private anonymous mapping of its own,
-    with huge pages refused where the platform allows it."""
+    with huge pages refused where the platform allows it.
+
+    Its row stride is m doubles while a row is shorter than a page, and m
+    rounded up to a whole number of pages from there, so that every row
+    starts on a page boundary (see the module docstring); the array is the
+    first m columns of that m x stride view.
+    """
+    per_page = mmap.PAGESIZE // 8
+    stride = m if m < per_page else -(-m // per_page) * per_page
     if hasattr(mmap, "MAP_PRIVATE"):
-        buffer = mmap.mmap(-1, 8 * m * m, flags=mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS)
+        buffer = mmap.mmap(-1, 8 * m * stride, flags=mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS)
     else:  # Windows: an anonymous mapping reads as zeros all the same
-        buffer = mmap.mmap(-1, 8 * m * m)
+        buffer = mmap.mmap(-1, 8 * m * stride)
     if hasattr(mmap, "MADV_NOHUGEPAGE"):
         buffer.madvise(mmap.MADV_NOHUGEPAGE)
-    return np.frombuffer(buffer, dtype=np.float64).reshape(m, m)
+    return np.frombuffer(buffer, dtype=np.float64).reshape(m, stride)[:, :m]
 
 
 def _apply_power(x: np.ndarray, r: int) -> np.ndarray:

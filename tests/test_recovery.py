@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -316,23 +317,53 @@ class TestSobolev:
         got, _ = sobolev_reconstruct(phi, sig.support, phi @ x, r)
         assert np.max(np.abs(got - x)) <= 1e-8
 
-    @pytest.mark.parametrize(("m", "r"), [(100, 1), (800, 2), (2000, 3), (368, 9)])
+    @pytest.mark.parametrize(("m", "r"), [(100, 1), (800, 2), (2000, 3), (368, 9)] + [
+        (m, r) for m in (511, 512, 513, 1023, 1025, 2000) for r in (1, 2, 3) if (m, r) != (2000, 3)])
     def test_digits_equal_those_from_a_plain_power(self, monkeypatch, m, r):
         # The kept power is a view of a memory mapping whose upper triangle
-        # is never written; BLAS must read from it the same values, in the
-        # same layout, as from a plain C-contiguous array, so every digit
-        # the reconstruction returns stays the same.
+        # is never written and whose rows start on page boundaries once a
+        # row spans a page (512 doubles at 4 KiB), so the view is not
+        # C-contiguous from m = 513 on.  BLAS packs its operands, so it must
+        # return the same digits as from a plain C-contiguous array.  Its
+        # digits do depend on the operands' order and shape, so D^{-r} Phi_T
+        # and D^{-r} q are compared at each support size, formed as the
+        # reconstruction forms them, on both sides of one and two pages.
         rng = RngStream(m + r)
-        n, support = 40, [3, 9, 17, 22, 38]
+        n = 40
         phi = rng.normals(m * n).reshape(m, n)
         q = rng.normals(m)
-        x_hat, smin = sobolev_reconstruct(phi, support, q, r)
-        plain = inverse_difference_power(m, r)
+        inv, plain = difference_power(m, r), inverse_difference_power(m, r)
         assert plain.flags.c_contiguous
+        for s in (1, 3, 5, 11):
+            phi_t = phi[:, 3 * np.arange(s)]
+            assert (inv @ phi_t).tobytes() == (plain @ phi_t).tobytes()
+        assert (inv @ q).tobytes() == (plain @ q).tobytes()
+        support = [3, 9, 17, 22, 38]
+        x_hat, smin = sobolev_reconstruct(phi, support, q, r)
         monkeypatch.setattr(recovery, "difference_power", lambda *_: plain)
         want_x, want_smin = sobolev_reconstruct(phi, support, q, r)
         assert np.array_equal(x_hat, want_x)
         assert smin == want_smin
+
+    def test_products_copy_no_dense_power(self):
+        # The kept power's rows are padded to whole pages at m = 2000, so it
+        # reaches BLAS as a strided view; were numpy to copy it first, the
+        # copy (8 m^2 bytes, 32 MB) would show in tracemalloc, which sees
+        # numpy's data but not the power's own mapping.  What the
+        # reconstruction allocates is Phi_T, D^{-r} Phi_T, the SVD's factors
+        # and vectors of length m: O(m s) doubles, under 1 MB here.
+        m, n, r = 2000, 40, 3
+        rng = RngStream(m + r)
+        phi = rng.normals(m * n).reshape(m, n)
+        q = rng.normals(m)
+        difference_power(m, r)
+        tracemalloc.start()
+        try:
+            sobolev_reconstruct(phi, [3, 9, 17, 22, 38], q, r)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * m * m // 32
 
     def test_scalar_case(self):
         got, smin = sobolev_reconstruct(np.array([[2.0]]), [0], [3.0], 1)
