@@ -50,6 +50,11 @@ class SweepConfig:
 
     def __post_init__(self):
         Ensemble(self.ensemble)  # validates the kind
+        for name in ("n", "s", "trials", "seed"):
+            if not isinstance(getattr(self, name), (int, np.integer)):
+                raise ValueError(f"{name} must be an integer")
+        if not all(isinstance(m, (int, np.integer)) for m in self.m_grid):
+            raise ValueError("every m must be an integer")
         if not 1 <= self.s <= self.n:
             raise ValueError("need 1 <= s <= n")
         QuantizerConfig(self.r, self.delta)  # validates the step delta

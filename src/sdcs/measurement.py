@@ -147,8 +147,8 @@ def sample_sparse_signal(
     [floor, magnitude_cap], independent random signs."""
     if not 1 <= s <= n:
         raise ValueError("need 1 <= s <= n")
-    if not 0.0 < floor <= magnitude_cap:
-        raise ValueError("need 0 < floor <= magnitude_cap")
+    if not (0.0 < floor <= magnitude_cap and math.isfinite(magnitude_cap)):
+        raise ValueError("need finite 0 < floor <= magnitude_cap")
     support = rng.choose_indices(n, s)
     mags = floor + (magnitude_cap - floor) * rng.uniforms(s)
     signs = rng.rademacher(s)

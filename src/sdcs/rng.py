@@ -19,15 +19,18 @@ thread count.  Substreams are derived by hashing a label into a fresh
 key, which gives independent streams for e.g. per-trial parallelism
 without coordination.
 
-The helper thread.  Normals are computed a block of at most
-``_NORMAL_BLOCK`` (16,384) at a time, each block's radius draws and then
-its angle draws.  One kept daemon thread, started by the first draw that
-uses it and never at import, helps with the draws of at least
-``_SPLIT_MIN`` normals (four blocks, 65,536) when the process may run on
-two CPUs; smaller draws, and every draw on one CPU, run on the calling
-thread alone.
+The helper thread.  Every Box-Muller draw is a job (``_Job``) of blocks
+of at most ``_NORMAL_BLOCK`` (16,384) normals, each block's radius draws
+and then its angle draws, whether the caller draws it alone, splits it,
+prefetches it or draws it as a column window.  The job alone maps a block
+to its raw draws, and one loop computes every block that a caller
+computes, claiming them from the back.  One kept daemon thread, started
+by the first draw that uses it and never at import, helps with the draws
+of at least ``_SPLIT_MIN`` normals (four blocks, 65,536) when the process
+may run on two CPUs; smaller draws, every draw on one CPU and every
+window are jobs that the calling thread computes alone.
 
-- Split draws.  A normals call shares its draw with the helper: the two
+- Split draws.  A normals call posts its job to the helper: the two
   threads claim its blocks one at a time under a lock, the helper from the
   front and the caller from the back, until none is left.
 - Prefetch.  ``prefetch_normals`` starts a stream's next draw on the
@@ -39,8 +42,8 @@ thread alone.
 - While one thread draws with the helper, another thread's draws and
   prefetches run without it.
 - A forked child starts with a fresh helper and nothing pending.
-- The helper keeps its block buffers; a caller that draws with it
-  allocates its own for the call.
+- The helper keeps its block buffers; a caller allocates its own for
+  each job.
 
 Each normal goes through the same ufuncs on the same raw draws whichever
 thread computes it, so the outputs and the counter do not depend on the
@@ -51,10 +54,12 @@ signs, as the m x n matrix ``normals(m * n).reshape(m, n)``.  Entry (i, j)
 is normal p = i n + j, from raw draws 2p and 2p + 1 (sign p from raw draw
 p), a function of its position alone.  So ``RngStream._windows`` walks
 that matrix a few consecutive columns at a time without the rest of the
-draw: it puts each window's raw draws through the ufuncs that normals and
-rademacher use, which makes it bit for bit that slice of the whole draw.
-It runs on the calling thread, leaves the counter where it is while the
-windows are taken, and moves it past the whole draw once after the last.
+draw.  A normal window is a job whose steps are its entries' raw-draw
+positions, and a sign window puts its raw draws through rademacher's
+ufuncs, so each window is bit for bit that slice of the whole draw.  A
+window job is never posted: it runs on the calling thread and leaves a
+pending prefetch pending.  The counter stays where it is while the
+windows are taken and moves past the whole draw once after the last.
 """
 
 from __future__ import annotations
@@ -209,12 +214,8 @@ class RngStream:
         if n < 0:
             raise ValueError("n must be >= 0")
         tag = (self._key, self._counter, n)
-        start = self._advance(2 * n)
-        out = _helper.take(tag, _helper_eligible(n))
-        if out is None:
-            out = np.empty(n)
-            _box_muller_into(start, out, *_scratch(min(n, _NORMAL_BLOCK)))
-        return out
+        self._advance(2 * n)
+        return _helper.take(tag, _helper_eligible(n))
 
     def prefetch_normals(self, n: int) -> None:
         """Start the next normals(n) of this stream on the helper thread,
@@ -247,9 +248,8 @@ class RngStream:
             c1 = min(n, c0 + width)
             cols = np.arange(w * c0 + 1, w * c1 + 1, w, dtype=np.uint64) * np.uint64(_GAMMA)
             steps = np.add.outer(rows, cols).ravel()
-            if normal:
-                out = np.empty(steps.size)
-                _box_muller_into(start, out, *_scratch(min(steps.size, _NORMAL_BLOCK)), steps)
+            if normal:  # a job that is never posted (see the module docstring)
+                out = _helper.draw(_Job((self._key, self._counter, steps.size), True, steps))
             else:
                 _splitmix_into(start, steps, steps, np.empty_like(steps))
                 out = 1.0 - 2.0 * (steps >> np.uint64(63)).astype(np.float64)
@@ -325,34 +325,26 @@ def _scratch(k: int):
     return np.empty(k, dtype=np.uint64), np.empty(k, dtype=np.uint64), np.empty(k)
 
 
-def _box_muller_into(start: int, out: np.ndarray, raw, tmp, radius, steps=None) -> None:
-    """Fill out with normals, one block at a time: normal j from the radius
-    draw mix64(start + s_j) and the angle draw after it, mix64(start + GAMMA
-    + s_j).  s_j = steps[j], or with steps None, (2j + 1) GAMMA: the 2 *
-    out.size raw draws from start, draw j being mix64(start + _STEPS[j]).
-    raw, tmp and radius hold at least min(out.size, _NORMAL_BLOCK) entries."""
-    n = out.size
-    for lo in range(0, n, _NORMAL_BLOCK):
-        k = min(n - lo, _NORMAL_BLOCK)
-        if steps is None:
-            begin, s = start + 2 * lo * _GAMMA, _STEPS[0:2 * k:2]
-        else:
-            begin, s = start, steps[lo:lo + k]
-        z, t, rad, angle = raw[:k], tmp[:k], radius[:k], out[lo:lo + k]
-        _splitmix_into(begin, s, z, t)
-        np.right_shift(z, _U11, out=z)
-        np.copyto(rad, z)
-        rad += 1.0
-        rad *= _TWO_NEG53
-        np.log(rad, out=rad)
-        rad *= -2.0
-        np.sqrt(rad, out=rad)
-        _splitmix_into(begin + _GAMMA, s, z, t)
-        np.right_shift(z, _U11, out=z)
-        np.copyto(angle, z)
-        angle *= _ANGLE
-        np.cos(angle, out=angle)
-        angle *= rad
+def _box_muller_into(begin: int, steps: np.ndarray, out: np.ndarray, raw, tmp, radius) -> None:
+    """Fill out, one block, with normals: normal j from the radius draw
+    mix64(begin + steps[j]) and the angle draw after it, mix64(begin +
+    GAMMA + steps[j]).  raw, tmp and radius hold at least out.size entries."""
+    k = out.size
+    z, t, rad = raw[:k], tmp[:k], radius[:k]
+    _splitmix_into(begin, steps, z, t)
+    np.right_shift(z, _U11, out=z)
+    np.copyto(rad, z)
+    rad += 1.0
+    rad *= _TWO_NEG53
+    np.log(rad, out=rad)
+    rad *= -2.0
+    np.sqrt(rad, out=rad)
+    _splitmix_into(begin + _GAMMA, steps, z, t)
+    np.right_shift(z, _U11, out=z)
+    np.copyto(out, z)
+    out *= _ANGLE
+    np.cos(out, out=out)
+    out *= rad
 
 
 def _usable_cpus() -> int:
@@ -369,9 +361,11 @@ def _helper_eligible(n: int) -> bool:
 
 
 class _Job:
-    """The normals(n) call at (key, counter, n) = tag, as the blocks that
-    the caller and the helper claim; joined once a normals call is drawing
-    it.
+    """The n normals at (key, counter, n) = tag, as the blocks that the
+    caller and, once the job is posted, the helper claim: the normals(n)
+    call there, or with steps, the window whose normal j has its radius
+    draw at steps[j] past the counter's start.  Joined once a caller is
+    drawing it.
 
     Blocks next to stop - 1 are unclaimed.  The helper claims from the
     front and the caller from the back, so each writes one contiguous run
@@ -379,11 +373,11 @@ class _Job:
     longer when the two threads took alternate blocks.
     """
 
-    __slots__ = ("tag", "start", "out", "next", "stop", "busy", "joined", "failure")
+    __slots__ = ("tag", "start", "steps", "out", "next", "stop", "busy", "joined", "failure")
 
-    def __init__(self, tag, joined: bool):
+    def __init__(self, tag, joined: bool, steps=None):
         key, counter, n = tag
-        self.tag, self.joined = tag, joined
+        self.tag, self.joined, self.steps = tag, joined, steps
         self.start = key + counter * _GAMMA
         self.out = np.empty(n)
         self.next, self.stop = 0, -(-n // _NORMAL_BLOCK)
@@ -391,9 +385,12 @@ class _Job:
         self.failure = None
 
     def block(self, i: int):
-        """(start, out) arguments of _box_muller_into for block i."""
+        """(begin, steps, out) arguments of _box_muller_into for block i."""
         lo = i * _NORMAL_BLOCK
-        return self.start + 2 * lo * _GAMMA, self.out[lo:lo + _NORMAL_BLOCK]
+        out = self.out[lo:lo + _NORMAL_BLOCK]
+        if self.steps is None:  # the normals(n) call: its raw draws from 2 lo on
+            return self.start + 2 * lo * _GAMMA, _STEPS[0:2 * out.size:2], out
+        return self.start, self.steps[lo:lo + out.size], out
 
 
 class _Helper:
@@ -408,24 +405,27 @@ class _Helper:
         self._job = None
         self._started = False
 
-    def take(self, tag, split: bool):
-        """The normals of tag, from its pending job or, if split, drawn with
-        the thread; None, with nothing done, if the caller is to draw alone."""
+    def take(self, tag, split: bool) -> np.ndarray:
+        """The normals of tag, computed by draw: from its pending job, or
+        from a new job, posted to the thread if split and the thread is free."""
         with self._lock:
             job = self._job
             if job is not None and not job.joined and job.tag != tag:
                 self._drop(job)  # a pending draw that this call does not take
                 job = None
-            if job is None:
-                job = self._post(_Job(tag, joined=True)) if split else None
-            elif job.joined:
-                job = None  # another thread is drawing with the helper
-            else:
+            if job is not None and not job.joined:
                 job.joined = True
-        if job is None:
-            return None
+            else:  # nothing pending, or another thread is drawing with the helper
+                job, free = _Job(tag, joined=True), job is None
+                if split and free:
+                    self._post(job)
+        return self.draw(job)
+
+    def draw(self, job) -> np.ndarray:
+        """Compute job's blocks from the back until none is unclaimed, and
+        return its array; raises the thread's failure in a posted job."""
         try:
-            scratch = _scratch(_NORMAL_BLOCK)
+            scratch = _scratch(min(job.out.size, _NORMAL_BLOCK))
             while (i := self._claim(job)) is not None:
                 _box_muller_into(*job.block(i), *scratch)
         finally:
@@ -450,17 +450,16 @@ class _Helper:
             if self._job is not None and not self._job.joined:
                 self._drop(self._job)
 
-    def _post(self, job):
-        """Hand job to the thread (lock held); None if no thread can start."""
+    def _post(self, job) -> None:
+        """Hand job to the thread (lock held), unless no thread can start."""
         if not self._started:
             try:
                 threading.Thread(target=self._serve, name="sdcs-normals", daemon=True).start()
             except RuntimeError:  # no thread to be had: the caller draws alone
-                return None
+                return
             self._started = True
         self._job = job
         self._work.notify()
-        return job
 
     def _claim(self, job):
         """The caller's next block of job, from the back; None once all are claimed."""

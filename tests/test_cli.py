@@ -315,6 +315,9 @@ def test_sweep_checks_its_output_before_any_trial(tmp_path, monkeypatch):
     (["sweep"], "sweep", "missing sweep parameters"),
     (["quantize", "--order", "1", "--delta", "0.5", "--input", "missing.txt"],
      "quantize", "[Errno 2] No such file or directory: 'missing.txt'"),
+    (["gen", "--kind", "signal", "--n", "8", "--s", "2", "--floor", "1", "--cap", "inf",
+      "--seed", "1"],
+     "gen", "need finite 0 < floor <= magnitude_cap"),
 ])
 def test_library_value_errors_exit_with_usage_message(args, cmd, why):
     assert usage_error(args).startswith(f"sdcs {cmd}: error: {why}")

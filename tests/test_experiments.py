@@ -67,6 +67,15 @@ def test_config_validation():
                     m_grid=(100, 2000), trials=1, seed=0)
     SweepConfig(ensemble="gaussian", n=16, s=2, r=9, delta=0.1, alpha=0.5,
                 m_grid=(100, 200), trials=1, seed=0)
+    # sizes and the seed are integers, checked before a trial needs them
+    base = dict(ensemble="gaussian", n=16, s=2, r=1, delta=0.1, alpha=0.5,
+                m_grid=(8, 12), trials=1, seed=0)
+    for name, bad in (("n", 16.0), ("s", 2.0), ("trials", 1.0), ("seed", 0.5)):
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            SweepConfig(**{**base, name: bad})
+    with pytest.raises(ValueError, match="every m must be an integer"):
+        SweepConfig(**{**base, "m_grid": (8.5, 12)})
+    SweepConfig(**{**base, "n": np.int64(16), "m_grid": (np.int64(8), 12)})
 
 
 def test_record_count_and_order(small_records):

@@ -215,6 +215,14 @@ def test_sparse_signal_validation():
         sample_sparse_signal(10, 2, 0.0, 0.5, RngStream(0))
 
 
+def test_sparse_signal_needs_finite_magnitudes():
+    # an infinite cap would give values of +-inf, and floor = cap = inf NaNs,
+    # which pass SparseSignal's floor check since NaN compares false
+    for floor, cap in ((1.0, math.inf), (math.inf, math.inf), (math.nan, 1.0), (1.0, math.nan)):
+        with pytest.raises(ValueError, match="need finite 0 < floor <= magnitude_cap"):
+            sample_sparse_signal(8, 2, floor, cap, RngStream(0))
+
+
 def test_sparse_signal_support_frequencies():
     rng = RngStream(31)
     counts = np.zeros(4)

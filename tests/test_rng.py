@@ -379,7 +379,7 @@ def helper_first(monkeypatch, fail_first: bool):
     draws: list[list[int]] = []
     helper_went = threading.Event()
 
-    def block(start, out, *buffers):
+    def block(begin, steps, out, *buffers):
         if threading.get_ident() == caller:
             assert helper_went.wait(30.0), "the helper took no block"
         else:
@@ -387,7 +387,7 @@ def helper_first(monkeypatch, fail_first: bool):
             helper_went.set()
             if fail_first and sum(map(len, draws)) == 1:
                 raise RuntimeError("block failed")
-        real(start, out, *buffers)
+        real(begin, steps, out, *buffers)
 
     def next_draw():
         helper_went.clear()
@@ -478,13 +478,45 @@ def test_prefetch_is_taken_by_the_matching_draw(monkeypatch):
     caller = threading.get_ident()
     real = rng_module._box_muller_into
 
-    def helper_only(start, out, *buffers):
+    def helper_only(begin, steps, out, *buffers):
         assert threading.get_ident() != caller, "the caller redrew a prefetched block"
-        real(start, out, *buffers)
+        real(begin, steps, out, *buffers)
 
     monkeypatch.setattr(rng_module, "_box_muller_into", helper_only)
     assert s.normals(n).tobytes() == box_muller_reference(21, 0, n).tobytes()
     assert s.counter == 2 * n
+    assert pending() is None
+
+
+def test_windows_stay_on_the_caller_and_keep_a_prefetch(monkeypatch):
+    # a window job is never posted: with the helper allowed and a draw
+    # pending, the caller computes every window block, and the pending draw
+    # is still taken by its matching normals call
+    monkeypatch.setattr(rng_module, "_usable_cpus", lambda: 2)
+    n = 5 * _NORMAL_BLOCK + 3
+    RngStream(21).prefetch_normals(n)
+    job = pending()
+    assert wait_until(lambda: job.next == job.stop and not job.busy)
+    caller = threading.get_ident()
+    blocks = []
+    real = rng_module._box_muller_into
+
+    def record(begin, steps, out, *buffers):
+        blocks.append((threading.get_ident() == caller, out.size))
+        real(begin, steps, out, *buffers)
+
+    monkeypatch.setattr(rng_module, "_box_muller_into", record)
+    m, cols, width = 200, 150, 100  # the first window's 20,000 normals span two blocks
+    want = box_muller_reference(22, 0, m * cols).reshape(m, cols)
+    s = RngStream(22)
+    for c0, got in s._windows(m, cols, width, True):
+        assert got.tobytes() == np.ascontiguousarray(want[:, c0:c0 + width]).tobytes()
+    assert s.counter == 2 * m * cols
+    assert sorted(blocks) == [(True, 20_000 - _NORMAL_BLOCK), (True, 10_000), (True, _NORMAL_BLOCK)]
+    assert pending() is job
+    blocks.clear()
+    assert RngStream(21).normals(n).tobytes() == box_muller_reference(21, 0, n).tobytes()
+    assert blocks == []  # taken, not drawn again
     assert pending() is None
 
 
@@ -533,11 +565,11 @@ def test_helper_failure_in_a_prefetched_draw(monkeypatch):
     real = rng_module._box_muller_into
     failed = threading.Event()
 
-    def fail_once_in_helper(start, out, *buffers):
+    def fail_once_in_helper(begin, steps, out, *buffers):
         if threading.get_ident() != caller and not failed.is_set():
             failed.set()
             raise RuntimeError("block failed")
-        real(start, out, *buffers)
+        real(begin, steps, out, *buffers)
 
     monkeypatch.setattr(rng_module, "_box_muller_into", fail_once_in_helper)
     caller = None
