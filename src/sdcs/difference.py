@@ -175,10 +175,18 @@ def _order_one_rows(m: int, ell: int) -> np.ndarray:
     (2m + 1) / 4.
     """
     # theta_j (k + 1/2) = (2j - 1)(2k + 1) pi / (4m + 2), reduced modulo 2 pi
-    # in integers so that no angle carries a rounding error of order m eps
+    # in integers so that no angle carries a rounding error of order m eps.
+    # The table is converted once and then filled in place, so at most two
+    # ell x m arrays are alive at once.
     period = 8 * m + 4
-    odd = np.outer(2 * np.arange(ell) + 1, 2 * np.arange(m) + 1) % period
-    return np.cos(odd * (2.0 * math.pi / period)) * (2.0 / math.sqrt(2 * m + 1))
+    odd = np.outer(2 * np.arange(ell) + 1, 2 * np.arange(m) + 1)
+    odd %= period
+    rows = odd.astype(np.float64)
+    del odd
+    rows *= 2.0 * math.pi / period
+    np.cos(rows, out=rows)
+    rows *= 2.0 / math.sqrt(2 * m + 1)
+    return rows
 
 
 def _reorthogonalize(w: np.ndarray, basis: np.ndarray) -> tuple[np.ndarray, float]:

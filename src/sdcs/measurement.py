@@ -25,8 +25,9 @@ ENSEMBLE_KINDS = ("gaussian", "rademacher", "column-model")
 # Off-diagonal of the column-model covariance; below 1/2, so it is positive
 # definite for every m.
 _COLUMN_CORR = 0.3
-# Entries per window of column_windows: 256 KiB of doubles, so a window with
-# its raw draws and Box-Muller scratch takes about 1 MiB.
+# Entries per window of column_windows: 256 KiB of doubles, so a normal window
+# with its raw-draw positions (256 KiB) and Box-Muller block buffers (two
+# arrays of 128 KiB) takes 768 KiB.
 _WINDOW = 1 << 15
 
 

@@ -269,6 +269,8 @@ def sobolev_reconstruct(phi, support, q, r: int) -> tuple[np.ndarray, float]:
     holds whenever the support is correct and the greedy quantizer's states
     stay within delta/2.
     """
+    if r < 0:
+        raise ValueError("r must be >= 0")
     phi = as_matrix(phi, "phi")
     q = as_vector(q, "q")
     m, n = phi.shape

@@ -82,8 +82,8 @@ _TWO_NEG53 = 2.0 ** -53
 # 2 pi * 2^-53: a power-of-two rescaling of 2 pi, so k * _ANGLE is
 # bit-identical to 2 pi * (k * 2^-53).
 _ANGLE = 2.0 * math.pi * _TWO_NEG53
-# Normals are generated this many at a time in three scratch arrays of
-# _NORMAL_BLOCK words (384 KiB) per thread, which stay in cache.  Shorter
+# Normals are generated this many at a time in two scratch arrays of
+# _NORMAL_BLOCK words (256 KiB) per thread, which stay in cache.  Shorter
 # blocks hand the interpreter lock between the two threads of a split draw
 # too often: on a 2-core x86_64 VM, an 800 x 256 draw took 1.2-1.3x less
 # time than one thread with 8192 and 1.6x less with 16384.
@@ -321,17 +321,22 @@ class RngStream:
 
 
 def _scratch(k: int):
-    """Block buffers for _box_muller_into: raw draws, shift scratch, radii."""
-    return np.empty(k, dtype=np.uint64), np.empty(k, dtype=np.uint64), np.empty(k)
+    """Block buffers for _box_muller_into: raw draws and radii."""
+    return np.empty(k, dtype=np.uint64), np.empty(k)
 
 
-def _box_muller_into(begin: int, steps: np.ndarray, out: np.ndarray, raw, tmp, radius) -> None:
+def _box_muller_into(begin: int, steps: np.ndarray, out: np.ndarray, raw, radius) -> None:
     """Fill out, one block, with normals: normal j from the radius draw
     mix64(begin + steps[j]) and the angle draw after it, mix64(begin +
-    GAMMA + steps[j]).  raw, tmp and radius hold at least out.size entries."""
+    GAMMA + steps[j]).  raw and radius hold at least out.size entries.
+
+    The SplitMix64 shifts take no scratch array of their own: the radius
+    draws shift into radius, read as uint64, before the radii are written
+    to it, and the angle draws into out, which holds nothing before the
+    angles."""
     k = out.size
-    z, t, rad = raw[:k], tmp[:k], radius[:k]
-    _splitmix_into(begin, steps, z, t)
+    z, rad = raw[:k], radius[:k]
+    _splitmix_into(begin, steps, z, rad.view(np.uint64))
     np.right_shift(z, _U11, out=z)
     np.copyto(rad, z)
     rad += 1.0
@@ -339,7 +344,7 @@ def _box_muller_into(begin: int, steps: np.ndarray, out: np.ndarray, raw, tmp, r
     np.log(rad, out=rad)
     rad *= -2.0
     np.sqrt(rad, out=rad)
-    _splitmix_into(begin + _GAMMA, steps, z, t)
+    _splitmix_into(begin + _GAMMA, steps, z, out.view(np.uint64))
     np.right_shift(z, _U11, out=z)
     np.copyto(out, z)
     out *= _ANGLE

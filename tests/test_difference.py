@@ -405,6 +405,35 @@ def test_order_one_basis_is_the_closed_form(monkeypatch):
         assert principal_sine(vt[:ell], w) <= 1e-12
 
 
+def order_one_rows_in_one_expression(m, ell):
+    """The closed-form order-1 rows as one expression, through full-size
+    temporaries: the same ufuncs on the same values as _order_one_rows."""
+    period = 8 * m + 4
+    odd = np.outer(2 * np.arange(ell) + 1, 2 * np.arange(m) + 1) % period
+    return np.cos(odd * (2.0 * math.pi / period)) * (2.0 / math.sqrt(2 * m + 1))
+
+
+@pytest.mark.parametrize("m, ell", [(1, 1), (100, 7), (800, 23), (2000, 31), (64, 64)])
+def test_order_one_rows_built_in_place_equal_the_one_expression(m, ell):
+    assert np.array_equal(difference._order_one_rows(m, ell),
+                          order_one_rows_in_one_expression(m, ell))
+
+
+def test_order_one_rows_hold_at_most_two_tables():
+    # The ell x m table is reduced as integers, converted once and filled
+    # in place: the integer table and the float one are alive together, and
+    # nothing else of that size.  The slack, one m-vector, covers the index
+    # vectors of the outer product; a third table (8 ell m bytes) breaks it.
+    m, ell = 2000, 31
+    tracemalloc.start()
+    try:
+        difference._order_one_rows(m, ell)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * 8 * ell * m + 8 * m
+
+
 @lru_cache(maxsize=2)
 def dense_svd(m, r):
     """Singular values and right singular rows of the binomial oracle."""

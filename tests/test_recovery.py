@@ -398,6 +398,10 @@ class TestSobolev:
             sobolev_reconstruct(phi, [1, -1], np.ones(6), 1)
         with pytest.raises(ValueError, match="q length"):
             sobolev_reconstruct(phi, [0], np.ones(5), 0)
+        # r = 0 is the canonical dual, so a negative order is the first
+        # invalid one, not the power's r >= 1
+        with pytest.raises(ValueError, match="r must be >= 0"):
+            sobolev_reconstruct(phi, [0], np.ones(6), -1)
 
 
 class TestErrorBound:

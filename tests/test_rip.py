@@ -470,8 +470,8 @@ def probe_peak(m: int, trials: int) -> int:
 
 def test_small_ball_holds_the_projection_not_the_draw():
     # The 2000 x 5000 draw alone is 76 MiB.  The probe keeps the 5000
-    # squared norms and one window of 2^15 draws, which takes about 1 MiB
-    # with its raw draws and Box-Muller scratch.
+    # squared norms and one window of 2^15 draws, which takes 768 KiB with
+    # its raw-draw positions and Box-Muller block buffers (see _WINDOW).
     assert probe_peak(2000, 5000) <= 2 * 2**20
     # Per trial it keeps one squared norm, and np.quantile copies them: 16
     # bytes.  The growth does not depend on m, so a short m measures it.

@@ -5,6 +5,7 @@ import subprocess
 import sys
 import threading
 import time
+import tracemalloc
 import weakref
 from pathlib import Path
 from unittest import mock
@@ -291,6 +292,24 @@ def test_normals_past_the_split_match_box_muller(n, c, seed):
     want = box_muller_reference(seed, c, n).tobytes()
     assert normals_with_cpus(2, seed, c, n) == (want, c + 2 * n)
     assert normals_with_cpus(1, seed, c, n) == (want, c + 2 * n)
+
+
+def test_a_block_takes_two_scratch_arrays(monkeypatch):
+    # A draw that the calling thread computes alone holds its output and one
+    # set of block buffers: raw draws and radii, 8 * _NORMAL_BLOCK bytes
+    # each.  The SplitMix64 shift scratch is the radii's array, then the
+    # block's output, so a third buffer (another 128 KiB) breaks the bound;
+    # the slack covers the job object and the slices of its blocks.
+    monkeypatch.setattr(rng_module, "_usable_cpus", lambda: 1)
+    n = 3 * _NORMAL_BLOCK
+    RngStream(0).normals(n)
+    tracemalloc.start()
+    try:
+        RngStream(0).normals(n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * n + 2 * 8 * _NORMAL_BLOCK + 16 * 1024
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
