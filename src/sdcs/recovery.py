@@ -241,54 +241,35 @@ def support_from(x, s: int) -> np.ndarray:
     return np.array(sorted(order[:s]), dtype=np.intp)
 
 
-def _check_support(support, m: int, n: int) -> np.ndarray:
-    t = np.asarray(support, dtype=np.intp)
-    if t.ndim != 1 or t.size < 1:
-        raise ValueError("support must be a nonempty 1-D index set")
-    # Neighbours of the sorted support, not np.unique: its first call
-    # imports numpy.ma, which would land in a process's first trial.
-    t = np.sort(t)
-    if np.any(t[1:] == t[:-1]):
-        raise ValueError("support contains duplicate indices")
-    if t[0] < 0 or t[-1] >= n:
-        raise ValueError("support index out of range")
-    if t.size > m:
-        raise ValueError("support larger than the number of measurements")
-    return t
+def sobolev_reconstruct(phi_t, q, r: int) -> tuple[np.ndarray, float]:
+    """Reconstruct the support's coefficients with the noise-shaping dual.
 
-
-def sobolev_reconstruct(phi, support, q, r: int) -> tuple[np.ndarray, float]:
-    """Reconstruct on the given support using the noise-shaping dual.
-
-    With A = Dinv_r @ phi[:, support], the dual pinv(A) @ Dinv_r is the left
-    inverse of phi[:, support] that minimizes the operator norm against the
-    r-th difference power.  At r = 0, D^0 = I and it is the canonical dual
-    pinv(phi[:, support]), i.e. least squares on the support.  Returns the
-    full-length reconstruction (zero off the support) and sigma_min(A),
-    both from one SVD of A.  The error bound delta*sqrt(m) / (2 sigma_min(A))
-    holds whenever the support is correct and the greedy quantizer's states
-    stay within delta/2.
+    phi_t is the m x k submatrix of the support's columns.  With
+    A = Dinv_r @ phi_t, the dual pinv(A) @ Dinv_r is the left inverse of
+    phi_t that minimizes the operator norm against the r-th difference
+    power.  At r = 0, D^0 = I and it is the canonical dual pinv(phi_t),
+    i.e. least squares on the support.  Returns the k coefficients and
+    sigma_min(A), both from one SVD of A.  The error bound
+    delta*sqrt(m) / (2 sigma_min(A)) holds whenever the support is correct
+    and the greedy quantizer's states stay within delta/2.
     """
     if r < 0:
         raise ValueError("r must be >= 0")
-    phi = as_matrix(phi, "phi")
-    q = as_vector(q, "q")
-    m, n = phi.shape
-    if q.size != m:
-        raise ValueError("q length must equal the number of rows of phi")
-    t = _check_support(support, m, n)
-    a, b = phi[:, t], q
+    a = as_matrix(phi_t, "phi_t")
+    b = as_vector(q, "q")
+    m, k = a.shape
+    if b.size != m:
+        raise ValueError("q length must equal the number of rows of phi_t")
+    if k > m:
+        raise ValueError("support larger than the number of measurements")
     if r != 0:
         inv = difference_power(m, r)
-        a, b = inv @ a, inv @ q
+        a, b = inv @ a, inv @ b
     u, s, vh = np.linalg.svd(a, full_matrices=False)
     if s[0] == 0.0 or s[-1] <= 1e-10 * s[0]:
         what = "support submatrix" if r == 0 else "difference-weighted support submatrix"
         raise DegenerateDrawError(f"{what} is rank deficient")
-    x_t = (vh.T * (1.0 / s)) @ (u.T @ b)
-    x_hat = np.zeros(n)
-    x_hat[t] = x_t
-    return x_hat, float(s[-1])
+    return (vh.T * (1.0 / s)) @ (u.T @ b), float(s[-1])
 
 
 def projection_dim(m: int, s: int, alpha: float) -> int:
@@ -383,7 +364,7 @@ def _recover(ensemble: Ensemble, n: int, s: int, m: int, r: int, delta: float,
     if next_rng is not None:
         prefetch_matrix(ensemble, m, n, _matrix_stream(next_rng))
     try:
-        x_t, smin = sobolev_reconstruct(phi_t, range(s), quant.q, cfg.r)
+        x_t, smin = sobolev_reconstruct(phi_t, quant.q, cfg.r)
     except DegenerateDrawError:
         return _Trial(signal, result, t_hat, phi_t, False, np.full(n, math.nan),
                       math.inf, math.inf)

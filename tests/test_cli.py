@@ -94,6 +94,11 @@ def test_quantize_fixture_and_plain_inputs(tmp_path):
     assert usage_error(["quantize", "--order", "1", "--delta", "1.0",
                         "--input", str(plain)]) == (
         "sdcs quantize: error: fixture header must be 'rows cols'")
+    square = tmp_path / "y_square.txt"
+    square.write_text("2 2\n4 1\n5 9\n")
+    assert usage_error(["quantize", "--order", "1", "--delta", "1.0",
+                        "--input", str(square)]) == (
+        "sdcs quantize: error: fixture must have a single row or column to be a vector")
 
 
 def test_quantize_rejects_order_above_cap(capsys):
@@ -168,17 +173,17 @@ def test_ripscan_projection_and_mc(tmp_path):
     assert read_bytes(out) == read_bytes(out2)
 
 
-def test_sweep_config_file_and_overrides(tmp_path):
+def test_sweep_config_file_and_overrides(tmp_path, capsys):
     cfg = tmp_path / "sweep.cfg"
     cfg.write_text(
         "ensemble = gaussian\nn = 48\ns = 3\nr = 1\ndelta = 0.05\n"
         "alpha = 0.7\nm_grid = 24,48\ntrials = 2\nseed = 11\n"
     )
     out1 = tmp_path / "sweep1.csv"
-    out2 = tmp_path / "sweep2.csv"
     run_cli(["sweep", "--config", str(cfg), "--out", str(out1)])
-    run_cli(["sweep", "--config", str(cfg), "--out", str(out2)])
-    assert read_bytes(out1) == read_bytes(out2)
+    capsys.readouterr()
+    run_cli(["sweep", "--config", str(cfg)])  # no --out: the same bytes on stdout
+    assert capsys.readouterr().out.encode() == read_bytes(out1)
     records = read_sweep_csv(out1.read_text())
     assert len(records) == 4
     # flag override shrinks the grid

@@ -232,6 +232,22 @@ class TestSummarize:
         with pytest.raises(ValueError):
             summarize([])
 
+    def test_grid_point_without_a_correct_trial(self):
+        # m = 24 has a wrong support and a degenerate draw, no correct trial
+        def record(m, trial, correct, err):
+            return SweepRecord(ensemble="gaussian", n=48, s=3, m=m, r=1, delta=0.05,
+                               alpha=0.7, ell=10, trial=trial, seed=trial,
+                               support_correct=correct, err_l2=err, bound_eq3=1.0,
+                               sigma_min_proj=1.0)
+
+        summary = summarize([record(24, 0, False, 0.5), record(24, 1, False, math.inf),
+                             record(48, 0, True, 0.04), record(96, 0, True, 0.01)])
+        csv_row = summary_to_csv(summary).splitlines()[1].split(",")
+        assert csv_row == ["24", "8.0", "2", "0", "0.0"] + [""] * 6
+        text_row = summary_to_text(summary).splitlines()[3].split()
+        assert text_row == ["24", "8", "0/2", "-", "-", "-", "-"]
+        assert summary.slope == fit_loglog_slope([(16.0, 0.04), (32.0, 0.01)])
+
     def test_renderings(self, small_records):
         summary = summarize(small_records)
         text = summary_to_text(summary)

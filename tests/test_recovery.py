@@ -34,8 +34,7 @@ SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src")
 
 def sobolev_dual(phi_t, r):
     """The noise-shaping dual as a matrix, one column per canonical q."""
-    m, s = phi_t.shape
-    return np.column_stack([sobolev_reconstruct(phi_t, range(s), e, r)[0] for e in np.eye(m)])
+    return np.column_stack([sobolev_reconstruct(phi_t, e, r)[0] for e in np.eye(phi_t.shape[0])])
 
 
 class TestBpdn:
@@ -314,8 +313,8 @@ class TestSobolev:
         phi = rng.normals(m * n).reshape(m, n)
         sig = sample_sparse_signal(n, s, 0.5, 2.0, rng)
         x = sig.to_dense()
-        got, _ = sobolev_reconstruct(phi, sig.support, phi @ x, r)
-        assert np.max(np.abs(got - x)) <= 1e-8
+        got, _ = sobolev_reconstruct(phi[:, sig.support], phi @ x, r)
+        assert np.max(np.abs(got - sig.values)) <= 1e-8
 
     @pytest.mark.parametrize(("m", "r"), [(100, 1), (800, 2), (2000, 3), (368, 9)] + [
         (m, r) for m in (511, 512, 513, 1023, 1025, 2000) for r in (1, 2, 3) if (m, r) != (2000, 3)])
@@ -338,10 +337,10 @@ class TestSobolev:
             phi_t = phi[:, 3 * np.arange(s)]
             assert (inv @ phi_t).tobytes() == (plain @ phi_t).tobytes()
         assert (inv @ q).tobytes() == (plain @ q).tobytes()
-        support = [3, 9, 17, 22, 38]
-        x_hat, smin = sobolev_reconstruct(phi, support, q, r)
+        phi_t = phi[:, [3, 9, 17, 22, 38]]
+        x_hat, smin = sobolev_reconstruct(phi_t, q, r)
         monkeypatch.setattr(recovery, "difference_power", lambda *_: plain)
-        want_x, want_smin = sobolev_reconstruct(phi, support, q, r)
+        want_x, want_smin = sobolev_reconstruct(phi_t, q, r)
         assert np.array_equal(x_hat, want_x)
         assert smin == want_smin
 
@@ -350,23 +349,23 @@ class TestSobolev:
         # reaches BLAS as a strided view; were numpy to copy it first, the
         # copy (8 m^2 bytes, 32 MB) would show in tracemalloc, which sees
         # numpy's data but not the power's own mapping.  What the
-        # reconstruction allocates is Phi_T, D^{-r} Phi_T, the SVD's factors
-        # and vectors of length m: O(m s) doubles, under 1 MB here.
+        # reconstruction allocates is D^{-r} Phi_T, the SVD's factors and
+        # vectors of length m: O(m s) doubles, under 1 MB here.
         m, n, r = 2000, 40, 3
         rng = RngStream(m + r)
-        phi = rng.normals(m * n).reshape(m, n)
+        phi_t = rng.normals(m * n).reshape(m, n)[:, [3, 9, 17, 22, 38]]
         q = rng.normals(m)
         difference_power(m, r)
         tracemalloc.start()
         try:
-            sobolev_reconstruct(phi, [3, 9, 17, 22, 38], q, r)
+            sobolev_reconstruct(phi_t, q, r)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 8 * m * m // 32
 
     def test_scalar_case(self):
-        got, smin = sobolev_reconstruct(np.array([[2.0]]), [0], [3.0], 1)
+        got, smin = sobolev_reconstruct(np.array([[2.0]]), [3.0], 1)
         assert got == pytest.approx([1.5])
         assert smin == 2.0
 
@@ -384,24 +383,20 @@ class TestSobolev:
         col = RngStream(3).normals(20)
         phi = np.column_stack([col, col, RngStream(4).normals(20)])
         with pytest.raises(DegenerateDrawError):
-            sobolev_reconstruct(phi, [0, 1], np.ones(20), 1)
+            sobolev_reconstruct(phi[:, [0, 1]], np.ones(20), 1)
 
     def test_support_validation(self):
-        phi = RngStream(5).normals(12).reshape(6, 2)
-        with pytest.raises(ValueError, match="duplicate"):
-            sobolev_reconstruct(phi, [0, 0], np.ones(6), 1)
-        with pytest.raises(ValueError, match="duplicate"):
-            sobolev_reconstruct(phi, [1, 0, 1], np.ones(6), 1)
-        with pytest.raises(ValueError, match="out of range"):
-            sobolev_reconstruct(phi, [5], np.ones(6), 1)
-        with pytest.raises(ValueError, match="out of range"):
-            sobolev_reconstruct(phi, [1, -1], np.ones(6), 1)
+        phi_t = RngStream(5).normals(12).reshape(6, 2)
         with pytest.raises(ValueError, match="q length"):
-            sobolev_reconstruct(phi, [0], np.ones(5), 0)
+            sobolev_reconstruct(phi_t, np.ones(5), 0)
+        with pytest.raises(ValueError, match="support larger than the number of measurements"):
+            sobolev_reconstruct(phi_t.T, np.ones(2), 1)
+        with pytest.raises(ValueError, match="phi_t must be 2-D"):
+            sobolev_reconstruct(phi_t[:, 0], np.ones(6), 1)
         # r = 0 is the canonical dual, so a negative order is the first
         # invalid one, not the power's r >= 1
         with pytest.raises(ValueError, match="r must be >= 0"):
-            sobolev_reconstruct(phi, [0], np.ones(6), -1)
+            sobolev_reconstruct(phi_t, np.ones(6), -1)
 
 
 class TestErrorBound:
@@ -409,14 +404,14 @@ class TestErrorBound:
 
     def test_scalar_value(self):
         m, delta = 1, 1.0
-        _, smin = sobolev_reconstruct(np.array([[2.0]]), [0], [1.0], 1)
+        _, smin = sobolev_reconstruct(np.array([[2.0]]), [1.0], 1)
         assert delta * math.sqrt(m) / (2.0 * smin) == pytest.approx(0.25)
 
     def test_homogeneity(self):
         phi_t = RngStream(9).normals(30 * 3).reshape(30, 3)
         q = np.ones(30)
-        _, base = sobolev_reconstruct(phi_t, range(3), q, 2)
-        _, scaled = sobolev_reconstruct(4.0 * phi_t, range(3), q, 2)
+        _, base = sobolev_reconstruct(phi_t, q, 2)
+        _, scaled = sobolev_reconstruct(4.0 * phi_t, q, 2)
         assert scaled == pytest.approx(4.0 * base)
         want = np.linalg.svd(inverse_difference_power(30, 2) @ phi_t, compute_uv=False)[-1]
         assert base == pytest.approx(want, rel=1e-12)
@@ -438,7 +433,7 @@ def test_sobolev_stage_exact_and_within_bound(r, s, m, delta, seed):
     phi_t = rng.normals(m * s).reshape(m, s)
     x = rng.normals(s)
     y = phi_t @ x
-    exact, smin = sobolev_reconstruct(phi_t, range(s), y, r)
+    exact, smin = sobolev_reconstruct(phi_t, y, r)
     a = inverse_difference_power(m, r) @ phi_t if r else phi_t
     sv = np.linalg.svd(a, compute_uv=False)
     smax = sv[0]
@@ -448,7 +443,7 @@ def test_sobolev_stage_exact_and_within_bound(r, s, m, delta, seed):
     assert np.linalg.norm(exact - x) <= tol
 
     quant = sigma_delta_quantize(y, QuantizerConfig(r=r, delta=delta))
-    x_hat, smin_q = sobolev_reconstruct(phi_t, range(s), quant.q, r)
+    x_hat, smin_q = sobolev_reconstruct(phi_t, quant.q, r)
     assert smin_q == smin
     bound = delta * math.sqrt(m) / (2.0 * smin_q)
     assert np.linalg.norm(x_hat - x) <= bound * (1.0 + 1e-9)
@@ -735,7 +730,9 @@ def test_pipeline_matches_manual_composition():
     out = sigma_delta_quantize(phi @ x, QuantizerConfig(r=r, delta=delta))
     res = bpdn_solve(phi, out.q, quantization_noise_bound(m, QuantizerConfig(r=r, delta=delta)))
     t_hat = support_from(res.x, s)
-    x_hat, smin = sobolev_reconstruct(phi, t_hat, out.q, r)
+    x_t, smin = sobolev_reconstruct(phi[:, t_hat], out.q, r)
+    x_hat = np.zeros(n)
+    x_hat[t_hat] = x_t
 
     assert np.array_equal(rep.recovered_support, t_hat)
     assert np.array_equal(rep.x_hat, x_hat)

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import os
 import signal
@@ -612,28 +613,59 @@ def test_helper_failure_in_a_prefetched_draw(monkeypatch):
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
 @pytest.mark.filterwarnings("ignore:This process .* is multi-threaded:DeprecationWarning")
-def test_forked_child_starts_its_own_helper(monkeypatch):
+def test_forked_child_draws_the_same_normals(monkeypatch):
+    # The child starts with a fresh helper and nothing pending: it draws
+    # both streams on a helper of its own, and the parent's pending
+    # prefetch is still the parent's to join.
     monkeypatch.setattr(rng_module, "_usable_cpus", lambda: 2)
-    n = _SPLIT_MIN + 5
-    want = box_muller_reference(5, 0, n).tobytes()
-    assert RngStream(5).normals(n).tobytes() == want  # the helper is running
-    RngStream(5).prefetch_normals(n)  # and has a pending draw
+    n = 5 * _NORMAL_BLOCK + 3
+    first = RngStream(5).normals(n)  # starts the helper
+    second = RngStream(6)
+    second.prefetch_normals(n)
+    tag = pending().tag
+    read, write = os.pipe()
     pid = os.fork()
-    if pid == 0:  # child: report through the exit status only
+    if pid == 0:  # child: report through the pipe only
         try:
-            fresh = pending() is None
-            os._exit(0 if fresh and RngStream(5).normals(n).tobytes() == want else 1)
+            os.close(read)
+            signal.alarm(60)  # a hang ends the child, and the parent reads too little
+            digests = [str(pending() is None)]
+            digests += [hashlib.sha256(RngStream(seed).normals(n)).hexdigest() for seed in (5, 6)]
+            os.write(write, " ".join(digests).encode())
         finally:
-            os._exit(2)
-    deadline = time.monotonic() + 60.0
-    while (done := os.waitpid(pid, os.WNOHANG))[0] == 0 and time.monotonic() < deadline:
-        time.sleep(0.01)
-    if done[0] == 0:
-        os.kill(pid, signal.SIGKILL)
-        os.waitpid(pid, 0)
-        pytest.fail("the forked child's draw did not finish")
-    assert os.waitstatus_to_exitcode(done[1]) == 0
-    assert RngStream(5).normals(n).tobytes() == want  # the parent's prefetch
+            os._exit(0)
+    os.close(write)
+    with os.fdopen(read, "rb") as fh:
+        got = fh.read().decode().split()
+    os.waitpid(pid, 0)
+    assert pending().tag == tag and not pending().joined
+    want = [hashlib.sha256(first).hexdigest(), hashlib.sha256(second.normals(n)).hexdigest()]
+    assert pending() is None  # the parent's draw took its prefetch
+    assert got == ["True"] + want
+    assert want[1] == hashlib.sha256(box_muller_reference(6, 0, n)).hexdigest()
+
+
+def test_a_helper_that_cannot_start_leaves_the_caller_to_draw(monkeypatch):
+    n = _SPLIT_MIN + 5
+    monkeypatch.setattr(rng_module, "_usable_cpus", lambda: 1)
+    s = RngStream(8)
+    want = [s.normals(n).tobytes(), s.normals(n).tobytes()]
+    monkeypatch.setattr(rng_module, "_usable_cpus", lambda: 2)
+    helper = rng_module._Helper()
+    monkeypatch.setattr(rng_module, "_helper", helper)
+
+    def no_thread(self):
+        raise RuntimeError("can't start new thread")
+
+    monkeypatch.setattr(threading.Thread, "start", no_thread)
+    s = RngStream(8)
+    assert s.normals(n).tobytes() == want[0]
+    assert not helper._started
+    s.prefetch_normals(n)  # nothing to post it to: no draw is left pending
+    assert pending() is None
+    rng_module.cancel_prefetch()
+    assert s.normals(n).tobytes() == want[1]
+    assert not helper._started
 
 
 def test_importing_the_cli_starts_no_thread():
