@@ -4,8 +4,7 @@ A sweep runs recovery.full_pipeline over a grid of measurement counts with
 several trials per grid point, each trial on its own derived random
 substream, so results are reproducible and independent of execution order.
 The MSQ baseline runs recovery.msq_trial on the same seeds at one grid
-point.  Both hand each trial the next trial's stream at the same m
-(next_rng), and a failed trial (see recovery) is a row like any other.
+point (trial_instances); a failed trial (see recovery) is a row like any other.
 Aggregation reports per-m medians and quartiles over the support-correct
 trials, the support recovery rate, the fitted log-log decay slope of
 median error against the oversampling ratio lambda = m/s, and the worst
@@ -16,6 +15,7 @@ delta * (m/ell)^(1/2 - r).
 from __future__ import annotations
 
 import math
+from contextlib import closing
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -105,21 +105,30 @@ def trial_seed(base_seed: int, m: int, trial: int) -> int:
     return derive_seed(base_seed, ("sweep", m, trial))
 
 
-def run_decay_sweep(cfg: SweepConfig) -> list[SweepRecord]:
-    """Run the pipeline over the m-grid; records come back in (m, trial)
-    order.  Drops any pending prefetch on the way out."""
-    ens = Ensemble(cfg.ensemble)
-    records: list[SweepRecord] = []
+def trial_instances(cfg: SweepConfig, m: int):
+    """Yield (trial, seed, RngStream(seed), next_rng) over grid point m's
+    trials in order; the one home of the successor hand-off.  A trial
+    prefetches next_rng's matrix once its BPDN returns (recovery._recover);
+    the last gets None, so no draw crosses grid points.  The walk drops a
+    pending draw when it ends or is closed: close it if the consumer may raise."""
+    seeds = [trial_seed(cfg.seed, m, trial) for trial in range(cfg.trials)] + [None]
     try:
-        for m in cfg.m_grid:
-            seeds = [trial_seed(cfg.seed, m, trial) for trial in range(cfg.trials)]
-            for trial, seed in enumerate(seeds):
-                rep = full_pipeline(ens, cfg.n, cfg.s, m, cfg.r, cfg.delta, cfg.alpha,
-                                    RngStream(seed), next_rng=_next_stream(seeds, trial))
-                records.append(report_record(rep, cfg.ensemble, cfg.n, cfg.s, m, cfg.r,
-                                             cfg.delta, cfg.alpha, trial, seed))
+        for trial, (seed, after) in enumerate(zip(seeds, seeds[1:])):
+            yield trial, seed, RngStream(seed), None if after is None else RngStream(after)
     finally:
         cancel_prefetch()
+
+
+def run_decay_sweep(cfg: SweepConfig) -> list[SweepRecord]:
+    """Run the pipeline over the m-grid; records come back in (m, trial) order."""
+    ens = Ensemble(cfg.ensemble)
+    records: list[SweepRecord] = []
+    for m in cfg.m_grid:
+        with closing(trial_instances(cfg, m)) as instances:
+            for trial, seed, rng, nxt in instances:
+                rep = full_pipeline(ens, cfg.n, cfg.s, m, cfg.r, cfg.delta, cfg.alpha, rng, nxt)
+                records.append(report_record(rep, cfg.ensemble, cfg.n, cfg.s, m, cfg.r,
+                                             cfg.delta, cfg.alpha, trial, seed))
     return records
 
 
@@ -135,11 +144,6 @@ def report_record(rep: RecoveryReport, ensemble: str, n: int, s: int, m: int, r:
         bpdn_l1_slack=rep.bpdn_l1_slack, bpdn_violation=rep.bpdn_violation,
         bpdn_converged=rep.bpdn_converged, support_tie_flag=rep.support_tie_flag,
     )
-
-
-def _next_stream(seeds: list[int], trial: int) -> RngStream | None:
-    """The stream of the trial after this one at the same m, if any."""
-    return RngStream(seeds[trial + 1]) if trial + 1 < len(seeds) else None
 
 
 def sweep_records_to_csv(records: list[SweepRecord]) -> str:
@@ -318,16 +322,11 @@ def summary_to_text(summary: SweepSummary) -> str:
 
 
 def run_msq_baseline(cfg: SweepConfig, m: int) -> list[MsqTrialResult]:
-    """MSQ baseline over the same derived seeds as the sweep at grid point
-    m.  Drops any pending prefetch on the way out."""
+    """MSQ baseline on the sweep's instances at grid point m, in trial order."""
     ens = Ensemble(cfg.ensemble)
-    seeds = [trial_seed(cfg.seed, m, trial) for trial in range(cfg.trials)]
-    try:
-        return [msq_trial(ens, cfg.n, cfg.s, m, cfg.r, cfg.delta, RngStream(seed),
-                          next_rng=_next_stream(seeds, trial))
-                for trial, seed in enumerate(seeds)]
-    finally:
-        cancel_prefetch()
+    with closing(trial_instances(cfg, m)) as instances:
+        return [msq_trial(ens, cfg.n, cfg.s, m, cfg.r, cfg.delta, rng, nxt)
+                for _, _, rng, nxt in instances]
 
 
 _CONFIG_FIELDS = {f.name for f in fields(SweepConfig)}

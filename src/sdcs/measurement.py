@@ -7,7 +7,8 @@ are deliberately left unnormalized (no 1/sqrt(m) factor).
 The layer keeps no state and no cache: every draw is a function of its
 arguments and the stream alone.  ``sample_matrix`` returns the whole
 m x n draw, and ``prefetch_matrix`` can start a gaussian one on the
-stream's helper thread ahead of it.  ``column_windows`` yields the same
+stream's helper thread ahead of it (for the sweep's successor hand-off, see
+``sdcs.experiments.trial_instances``).  ``column_windows`` yields the same
 draw a few columns at a time, bit for bit, so it never holds the m x n
 draw (see the column windows of ``sdcs.rng``).
 """

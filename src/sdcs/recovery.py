@@ -20,8 +20,8 @@ sweep and the baseline record it as a row and go on, SweepRecord.failed
 reads it back from the CSV (err_l2 is infinite), and
 ``sdcs reconstruct --seed`` replays a failed row like any other.
 
-A trial handed the next trial's stream (next_rng) starts that trial's
-matrix draw early (see _recover); results do not depend on it.
+A trial may take the next trial's stream (next_rng), the successor
+hand-off of sdcs.experiments.trial_instances; results do not depend on it.
 """
 
 from __future__ import annotations
@@ -62,6 +62,15 @@ class BpdnResult:
     minus the dual value at y = r / ||phi^T r||_inf, r = q - phi x (for a
     path run to lambda = 0, at the limit of r / lambda): a certified bound
     on the l1 suboptimality whenever x is feasible.
+
+    rounding bounds the rounding error in each coefficient of x.  Off the
+    active columns phi_A, x is exactly 0.  On them, x is the least-squares
+    solve pinv(phi_A) (q - lam v) of the last path piece, from one SVD of
+    phi_A, and its data q - lam v = phi_A x + q_perp is no longer than
+    ||q|| + ||phi_A|| ||x||.  Taking the floor of a solve at lam = 0
+    (_ls_floor) with that data, rounding = 2 m k u (||q|| + ||phi_A|| ||x||)
+    / sigma_min(phi_A), with k active columns.  It is 0 where x = 0 comes
+    back without a solve.
     """
 
     x: np.ndarray = field(repr=False)
@@ -69,6 +78,7 @@ class BpdnResult:
     iterations: int
     violation: float
     gap: float
+    rounding: float
 
 
 def _ls_floor(m: int, sv: np.ndarray, q_norm: float, x: np.ndarray) -> float:
@@ -113,7 +123,8 @@ def bpdn_solve(phi, q, epsilon: float) -> BpdnResult:
     q_norm = math.sqrt(q @ q)
     if q_norm <= eps:
         # Zero is feasible and has minimal possible l1 norm.
-        return BpdnResult(x=np.zeros(n), converged=True, iterations=0, violation=0.0, gap=0.0)
+        return BpdnResult(x=np.zeros(n), converged=True, iterations=0, violation=0.0, gap=0.0,
+                          rounding=0.0)
     at = phi.T
     c = at @ q  # correlations phi^T r
     j = int(np.argmax(np.abs(c)))
@@ -122,7 +133,7 @@ def bpdn_solve(phi, q, epsilon: float) -> BpdnResult:
         # q is orthogonal to range(phi) (phi = 0, say): the path is x = 0
         # and the residual never falls below ||q|| > epsilon.
         return BpdnResult(x=np.zeros(n), converged=False, iterations=0,
-                          violation=q_norm - eps, gap=math.inf)
+                          violation=q_norm - eps, gap=math.inf, rounding=0.0)
 
     x = np.zeros(n)
     active, signs = [j], [math.copysign(1.0, c[j])]
@@ -214,19 +225,22 @@ def bpdn_solve(phi, q, epsilon: float) -> BpdnResult:
 
     res = q - phi @ x
     violation = max(0.0, math.sqrt(res @ res) - eps)
+    floor = _ls_floor(m, svd[1], q_norm, x)
+    rounding = 2.0 * floor / float(svd[1][-1])
     y = res
     if done and lam == 0.0:
         # The path's end: x minimizes ||phi x - q||, so it is feasible only
         # if that minimum is within the rounding of a least-squares solve on
         # the active columns.  The dual point is the limit of r / lam, i.e.
         # the last direction v.
-        if violation > _ls_floor(m, svd[1], q_norm, x):
+        if violation > floor:
             return BpdnResult(x=x, converged=False, iterations=steps,
-                              violation=violation, gap=math.inf)
+                              violation=violation, gap=math.inf, rounding=rounding)
         y = v
     y = y / float(np.max(np.abs(at @ y)))
     gap = float(np.sum(np.abs(x))) - (float(q @ y) - eps * math.sqrt(y @ y))
-    return BpdnResult(x=x, converged=done, iterations=steps, violation=violation, gap=gap)
+    return BpdnResult(x=x, converged=done, iterations=steps, violation=violation, gap=gap,
+                      rounding=rounding)
 
 
 def support_from(x, s: int) -> np.ndarray:
@@ -349,10 +363,9 @@ def _recover(ensemble: Ensemble, n: int, s: int, m: int, r: int, delta: float,
     on it with the order-cfg.r dual; report the l2 error and the bound
     delta*sqrt(m) / (2 sigma_min), or a failed trial (module docstring).
 
-    Once BPDN returns, only the support's columns of phi are kept, and the
-    matrix that next_rng's trial draws at the same (ensemble, m, n) is
-    prefetched (measurement.prefetch_matrix).  So that draw overlaps this
-    trial's reconstruction, and at most one m x n draw is alive at a time.
+    Once BPDN returns, only the support's columns of phi are kept, and only
+    then is next_rng's matrix prefetched (experiments.trial_instances), so
+    at most one m x n draw is alive at a time.
     """
     signal, phi = draw_instance(ensemble, n, s, m, r, delta, rng)
     x = signal.to_dense()
@@ -393,8 +406,17 @@ def full_pipeline(
     recovered support, and the smallest singular value of the scaled
     ell-row projection of the support submatrix, with
     ell = ceil(m * (s/m)^alpha), or a failed trial (module docstring).
-    next_rng, if given, is the stream of the trial that follows at the same
-    (ensemble, m, n); the report does not depend on it.
+
+    The support tie flag.  BPDN's s-th and (s+1)-th largest magnitudes tie
+    when they differ by at most 2 rounding (BpdnResult): each lies within
+    rounding of its exact value, so rounding alone may have ordered them,
+    and a BPDN point with fewer than s nonzeros always ties.  Every term of
+    rounding scales with q and x, and away from underflow and overflow the
+    whole trial is exact under a power-of-two scaling of delta, which
+    scales x and q alike; so the flag does not depend on the signal's scale.
+
+    next_rng is the successor hand-off (experiments.trial_instances); the
+    report does not depend on it.
     """
     if m < s:
         raise ValueError("need m >= s")
@@ -404,7 +426,7 @@ def full_pipeline(
                      next_rng)
     result = trial.bpdn
     mags = np.sort(np.abs(result.x))[::-1]
-    tie = bool(n > s and mags[s - 1] - mags[s] < 1e-9)
+    tie = bool(n > s and mags[s - 1] - mags[s] <= 2.0 * result.rounding)
 
     smin_proj = math.nan
     if trial.err < math.inf:

@@ -21,7 +21,9 @@ the first line echoes OPENBLAS_NUM_THREADS.  The families are:
 - the output of every command of README's command-line block, and its
   files;
 - the decay-sweep CSVs of the acceptance grid (three ensembles, r = 1 and
-  2) and of the large-m grid (m = 1000 and 2000, r = 1 and 3).
+  2) and of the large-m grid (m = 1000 and 2000, r = 1 and 3);
+- ``run_msq_baseline`` at the acceptance key and at a rademacher grid
+  point with a failed row: each trial's support verdict and err_l2 bytes.
 """
 
 import contextlib
@@ -36,6 +38,7 @@ import numpy as np
 import sdcs.rng as rng_module
 from sdcs.cli import main
 from sdcs.difference import projected_basis
+from sdcs.experiments import SweepConfig, run_msq_baseline
 from sdcs.measurement import ENSEMBLE_KINDS, Ensemble, column_windows, sample_matrix
 from sdcs.recovery import projection_dim
 from sdcs.rng import _NORMAL_BLOCK, RngStream, cancel_prefetch
@@ -57,6 +60,12 @@ BASIS_KEYS = tuple(
     for r in orders for m in grid
 )
 SWEEP = ["--n", "256", "--s", "5", "--delta", "0.01", "--alpha", "0.7", "--seed", "20240"]
+# (config, m) of run_msq_baseline: the acceptance baseline, and the
+# rademacher grid point of the CLI replay test, where trial 12 is failed.
+MSQ_KEYS = (
+    (SweepConfig("gaussian", 256, 5, 2, 0.01, 0.7, (800,), 20, 20240), 800),
+    (SweepConfig("rademacher", 64, 3, 1, 0.01, 0.7, (6,), 20, 23), 6),
+)
 
 
 def report(name: str, digest) -> None:
@@ -111,6 +120,14 @@ def matrix_family(kind: str, windows: bool):
     return digest
 
 
+def msq_family(cfg: SweepConfig, m: int):
+    digest = hashlib.sha256()
+    for res in run_msq_baseline(cfg, m):
+        digest.update(b"1" if res.support_correct else b"0")
+        digest.update(np.float64(res.err_l2).tobytes())
+    return digest
+
+
 def cli_digest(args, files=()):
     """Digest of one sdcs invocation's stdout and of the files it wrote."""
     out = io.StringIO()
@@ -161,6 +178,8 @@ def run():
         digest = hashlib.sha256()
         add_array(digest, projected_basis(m, r, ell))
         report(f"projected_basis ({m}, {r}, {ell})", digest)
+    for cfg, m in MSQ_KEYS:
+        report(f"msq_baseline {cfg.ensemble} m={m} seed={cfg.seed}", msq_family(cfg, m))
     home = os.getcwd()
     with tempfile.TemporaryDirectory() as tmp:
         os.chdir(tmp)  # README's commands read and write in the working directory

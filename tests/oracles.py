@@ -1,7 +1,9 @@
 """Reference operators and rounding constants that only the tests use."""
 
 import math
-from itertools import combinations
+from fractions import Fraction
+from itertools import accumulate, combinations
+from operator import mul
 
 import numpy as np
 
@@ -99,3 +101,59 @@ def ric_monte_carlo_reference(a, s: int, trials: int, rng) -> float:
     """Monte Carlo constant over sequentially drawn supports, every one solved."""
     supports = np.stack([choose_indices_reference(rng, a.shape[1], s) for _ in range(trials)])
     return every_support_deviation(a, supports)
+
+
+
+def _integers(values):
+    """Integers N_i and one power of two d with values_i = N_i / d exactly:
+    every double is a dyadic rational."""
+    ratios = [float(v).as_integer_ratio() for v in values]
+    d = max(den for _, den in ratios)
+    return [num * (d // den) for num, den in ratios], d
+
+
+def _running_sums(values, r: int):
+    """D^{-r} applied to a column of integers: r running sums, exactly."""
+    for _ in range(r):
+        values = list(accumulate(values))
+    return values
+
+
+def sobolev_exact(phi_t, q, r: int):
+    """The Sobolev dual reconstruction of the stored doubles in exact
+    arithmetic: x* = A^+ b with A = D^{-r} phi_t and b = D^{-r} q, as k
+    Fractions, and the squared norm of its residual b - A x*, a Fraction.
+
+    D^{-r} has integer entries and every double is a dyadic rational, so A
+    and b are the integer running sums of phi_t and q, each over one power
+    of two.  x* solves the k x k normal equations A^T A x = A^T b by exact
+    Gauss-Jordan elimination, and ||b - A x*||^2 = b^T b - b^T A x*.
+    Raises ValueError where A has dependent columns.
+    """
+    phi_t = np.asarray(phi_t, dtype=np.float64)
+    m, k = phi_t.shape
+    ints, d_a = _integers(phi_t.ravel(order="F"))
+    cols = [_running_sums(ints[j * m:(j + 1) * m], r) for j in range(k)]
+    b_ints, d_b = _integers(np.asarray(q, dtype=np.float64))
+    b = _running_sums(b_ints, r)
+    # A = cols / d_a and b / d_b: cols^T cols z = cols^T b gives x* = z d_a / d_b
+    rhs = [sum(map(mul, c, b)) for c in cols]
+    rows = [[Fraction(sum(map(mul, ci, cj))) for cj in cols] + [Fraction(t)]
+            for ci, t in zip(cols, rhs)]
+    for p in range(k):  # A^T A is semidefinite: a zero pivot means dependent columns
+        if rows[p][p] == 0:
+            raise ValueError("A has dependent columns")
+        for i in range(k):
+            if i != p:
+                f = rows[i][p] / rows[p][p]
+                rows[i] = [a - f * c for a, c in zip(rows[i], rows[p])]
+    z = [rows[i][k] / rows[i][i] for i in range(k)]
+    resid_sq = (sum(map(mul, b, b)) - sum(map(mul, z, rhs))) / (d_b * d_b)
+    return [zi * d_a / d_b for zi in z], resid_sq
+
+
+def err_star(x_t, x_star) -> float:
+    """||x_t - x*|| for doubles x_t and Fractions x* (sobolev_exact): exact
+    up to the final conversion to double and square root, so within a
+    relative 1.5 u, u = 2^-53."""
+    return math.sqrt(float(sum((Fraction(float(a)) - b) ** 2 for a, b in zip(x_t, x_star))))

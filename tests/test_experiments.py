@@ -1,11 +1,13 @@
 import dataclasses
+import inspect
 import math
 import tracemalloc
 from functools import cache
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import sdcs.difference as difference
@@ -367,6 +369,71 @@ def test_an_interrupted_sweep_leaves_no_pending_draw(monkeypatch, trial_name, ru
     with pytest.raises(RuntimeError, match="stopped"):
         run(SweepConfig(r=1, **dict(PREFETCH, m_grid=(400,))))
     assert rng_module._helper._job is None
+
+
+class Stopped(Exception):
+    pass
+
+
+@settings(max_examples=12, deadline=None, derandomize=True)
+@example(cpus=2, n=256, m_grid=(256, 300), trials=3, seed=20240, stop=None)
+@example(cpus=2, n=256, m_grid=(256, 300), trials=3, seed=20240, stop=4)
+@given(cpus=st.sampled_from([1, 2]), n=st.sampled_from([32, 256]),
+       m_grid=st.sampled_from([(12,), (12, 256), (256, 300)]), trials=st.integers(1, 3),
+       seed=st.integers(0, 2**64 - 1), stop=st.none() | st.integers(0, 5))
+def test_the_sweep_and_the_baseline_walk_the_same_instances(cpus, n, m_grid, trials, seed,
+                                                            stop):
+    # Each run's trials are watched where the runs look them up; the run is
+    # stopped by a raise after trial number `stop`, if it has one.  At n = 256
+    # and m >= 256 the draws are large enough to be prefetched on two CPUs.
+    cfg = SweepConfig(ensemble="gaussian", n=n, s=3, r=1, delta=0.05, alpha=0.7,
+                      m_grid=m_grid, trials=trials, seed=seed)
+    ens, m = Ensemble(cfg.ensemble), m_grid[-1]
+    streams = {"full_pipeline": [], "msq_trial": []}
+
+    def watched(name):
+        trial = getattr(experiments, name)
+
+        def run(*args, **kwargs):
+            bound = inspect.signature(trial).bind(*args, **kwargs).arguments
+            nxt = bound.get("next_rng")
+            streams[name].append((bound["m"], bound["rng"].key, None if nxt is None else nxt.key))
+            out = trial(*args, **kwargs)
+            if len(streams[name]) - 1 == stop:
+                raise Stopped
+            return out
+        return run
+
+    with mock.patch.object(rng_module, "_usable_cpus", lambda: cpus), \
+            mock.patch.object(experiments, "full_pipeline", watched("full_pipeline")), \
+            mock.patch.object(experiments, "msq_trial", watched("msq_trial")):
+        outs = []
+        for run in (lambda: run_decay_sweep(cfg), lambda: run_msq_baseline(cfg, m)):
+            try:
+                outs.append(run())
+            except Stopped:
+                outs.append(None)
+            assert rng_module._helper._job is None  # no draw pending
+    records, msq = outs
+    # the k-th trial at a grid point runs on trial k's stream, handed trial
+    # k + 1's, and the last trial on none
+    for seen in streams.values():
+        for at_m in {mm for mm, _, _ in seen}:
+            got = [(key, nxt) for mm, key, nxt in seen if mm == at_m]
+            seeds = [trial_seed(cfg.seed, at_m, t) for t in range(cfg.trials)] + [None]
+            assert got == list(zip(seeds, seeds[1:]))[:len(got)]
+    if records is not None:
+        for rec in records:
+            rep = full_pipeline(ens, cfg.n, cfg.s, rec.m, cfg.r, cfg.delta, cfg.alpha,
+                                RngStream(rec.seed))
+            alone = experiments.report_record(rep, cfg.ensemble, cfg.n, cfg.s, rec.m, cfg.r,
+                                              cfg.delta, cfg.alpha, rec.trial, rec.seed)
+            assert sweep_records_to_csv([alone]) == sweep_records_to_csv([rec])
+        sweep_at_m = [step for step in streams["full_pipeline"] if step[0] == m]
+        assert streams["msq_trial"] == sweep_at_m[:len(streams["msq_trial"])]
+    if msq is not None:
+        for res, (_, key, _) in zip(msq, streams["msq_trial"], strict=True):
+            assert res == msq_trial(ens, cfg.n, cfg.s, m, cfg.r, cfg.delta, RngStream(key))
 
 
 def sweep_peak_mb(monkeypatch, cfg: SweepConfig, cpus: int, warm: bool) -> float:
