@@ -37,8 +37,12 @@ window are jobs that the calling thread computes alone.
   helper alone and leaves the counter where it is; the normals call at
   that (key, counter, n) joins it and takes its array.  One draw at most
   is pending.  Any other normals call, a new prefetch and
-  ``cancel_prefetch`` drop it: no block is claimed after that, and once
-  the helper's current block is done, nothing refers to its array.
+  ``cancel_prefetch`` drop it without waiting: no block is claimed after
+  that, no call joins or returns it, and once the helper's current block
+  is done, nothing refers to its array.
+- Only the caller drawing a job waits for the helper, for the helper's
+  last block of that job.  The helper holds no job while it waits for
+  work.
 - While one thread draws with the helper, another thread's draws and
   prefetches run without it.
 - A forked child starts with a fresh helper and nothing pending.
@@ -399,14 +403,14 @@ class _Job:
 
 
 class _Helper:
-    """The helper thread of the module docstring, working on at most one
-    job: joined at once when normals posts it, pending when
+    """The helper thread of the module docstring, with one job slot: its
+    job is joined at once when normals posts it, pending when
     prefetch_normals does."""
 
     def __init__(self):
         self._lock = threading.Lock()
         self._work = threading.Condition(self._lock)  # the thread waits for a block
-        self._idle = threading.Condition(self._lock)  # callers wait for the thread's block
+        self._idle = threading.Condition(self._lock)  # draw waits for the thread's block
         self._job = None
         self._started = False
 
@@ -435,10 +439,12 @@ class _Helper:
                 _box_muller_into(*job.block(i), *scratch)
         finally:
             with self._lock:
-                out, failure = self._drop(job)
-        if failure is not None:
-            raise failure
-        return out
+                self._drop(job)
+                while job.busy:
+                    self._idle.wait()
+        if job.failure is not None:
+            raise job.failure
+        return job.out
 
     def prefetch(self, tag) -> None:
         """Make tag's draw the pending job, in place of any other pending one."""
@@ -474,42 +480,35 @@ class _Helper:
             job.stop -= 1
             return job.stop
 
-    def _drop(self, job):
-        """Stop job (lock held): no block is claimed after this.  Waits out
-        the thread's block and returns (out, failure), which job forgets."""
+    def _drop(self, job) -> None:
+        """Stop job and empty its slot (lock held), without waiting: no
+        block is claimed after this, and no call joins job."""
         job.stop = job.next
-        while job.busy:
-            self._idle.wait()
         if self._job is job:
             self._job = None
-        out, failure = job.out, job.failure
-        job.out = job.failure = None
-        return out, failure
 
     def _serve(self) -> None:
         buffers = None
         while True:
             with self._lock:
-                while (job := self._job) is None or job.next >= job.stop:
+                while self._job is None or self._job.next >= self._job.stop:
                     self._work.wait()
+                job = self._job
                 i = job.next
                 job.next += 1
                 job.busy = True
-            failure = None
             try:
                 if buffers is None:  # allocated here, so a failure reaches the caller
                     buffers = _scratch(_NORMAL_BLOCK)
                 _box_muller_into(*job.block(i), *buffers)
             except BaseException as exc:  # raised by the normals call that takes the job
-                failure = exc
+                job.failure = exc
             with self._lock:
-                if failure is not None:
-                    job.failure, job.stop = failure, job.next
+                if job.failure is not None:
+                    job.stop = job.next
                 job.busy = False
                 self._idle.notify_all()
-            # Past its block the thread holds no job but the pending one, as
-            # it waits, whose array _drop releases.
-            job = failure = None
+            del job  # the thread waits for work holding no job
 
 
 _helper = _Helper()

@@ -119,6 +119,15 @@ def _running_sums(values, r: int):
     return values
 
 
+def _integer_columns(phi_t, r: int):
+    """The columns of A = D^{-r} phi_t as integers over one power of two d:
+    (columns, d) with A = columns / d exactly."""
+    phi_t = np.asarray(phi_t, dtype=np.float64)
+    m, k = phi_t.shape
+    ints, d = _integers(phi_t.ravel(order="F"))
+    return [_running_sums(ints[j * m:(j + 1) * m], r) for j in range(k)], d
+
+
 def sobolev_exact(phi_t, q, r: int):
     """The Sobolev dual reconstruction of the stored doubles in exact
     arithmetic: x* = A^+ b with A = D^{-r} phi_t and b = D^{-r} q, as k
@@ -130,10 +139,8 @@ def sobolev_exact(phi_t, q, r: int):
     Gauss-Jordan elimination, and ||b - A x*||^2 = b^T b - b^T A x*.
     Raises ValueError where A has dependent columns.
     """
-    phi_t = np.asarray(phi_t, dtype=np.float64)
-    m, k = phi_t.shape
-    ints, d_a = _integers(phi_t.ravel(order="F"))
-    cols = [_running_sums(ints[j * m:(j + 1) * m], r) for j in range(k)]
+    cols, d_a = _integer_columns(phi_t, r)
+    k = len(cols)
     b_ints, d_b = _integers(np.asarray(q, dtype=np.float64))
     b = _running_sums(b_ints, r)
     # A = cols / d_a and b / d_b: cols^T cols z = cols^T b gives x* = z d_a / d_b
@@ -157,3 +164,46 @@ def err_star(x_t, x_star) -> float:
     up to the final conversion to double and square root, so within a
     relative 1.5 u, u = 2^-53."""
     return math.sqrt(float(sum((Fraction(float(a)) - b) ** 2 for a, b in zip(x_t, x_star))))
+
+
+def _positive_definite(gram, lam) -> bool:
+    """Whether gram - lam I is positive definite, exactly.  Gaussian
+    elimination without pivoting gives the pivots of its LDL^T, and by
+    Sylvester's law of inertia it is definite exactly when every pivot is
+    positive.  The first pivot that is not ends the elimination: the
+    leading minor it closes is then not positive."""
+    k = len(gram)
+    rows = [[Fraction(g) - (lam if i == j else 0) for j, g in enumerate(row)]
+            for i, row in enumerate(gram)]
+    for p in range(k):
+        if rows[p][p] <= 0:
+            return False
+        for i in range(p + 1, k):
+            f = rows[i][p] / rows[p][p]
+            rows[i] = [a - f * c for a, c in zip(rows[i], rows[p])]
+    return True
+
+
+def sigma_min_sq_bracket(phi_t, r: int):
+    """Fractions (lo, hi) with lo < lambda_min(A^T A) <= hi and hi - lo <=
+    2^-40 hi, where A = D^{-r} phi_t of the stored doubles, so lambda_min is
+    sigma_min(A)^2 exactly.
+
+    A = columns / d over integers (as in sobolev_exact), so A^T A = G / d^2
+    with G the integer Gram matrix.  Bisection on lambda keeps G - lo I
+    positive definite and G - hi I not (_positive_definite), from lo = 0
+    and hi = the smallest diagonal entry of G, a Rayleigh quotient.
+    Raises ValueError where A has dependent columns.
+    """
+    cols, d = _integer_columns(phi_t, r)
+    gram = [[sum(map(mul, ci, cj)) for cj in cols] for ci in cols]
+    lo, hi = Fraction(0), Fraction(min(gram[i][i] for i in range(len(gram))))
+    if not _positive_definite(gram, lo):
+        raise ValueError("A has dependent columns")
+    while hi - lo > hi * Fraction(1, 2**40):
+        mid = (lo + hi) / 2
+        if _positive_definite(gram, mid):
+            lo = mid
+        else:
+            hi = mid
+    return lo / (d * d), hi / (d * d)

@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from hypothesis import strategies as st
 import sdcs.difference as difference
 import sdcs.recovery as recovery
 from oracles import (difference_matrix, err_star, gamma, inverse_difference_power,
-                     sobolev_exact)
+                     sigma_min_sq_bracket, sobolev_exact)
 from sdcs.difference import difference_power, projected_basis
 from sdcs.experiments import SweepConfig, run_msq_baseline, trial_seed
 from sdcs.measurement import Ensemble, sample_matrix, sample_sparse_signal
@@ -513,6 +514,51 @@ def test_err_l2_is_the_forward_error_within_its_rounding(r, m, base, trial):
     e2 = kappa * eta / (1.0 - kappa * eta) * (2.0 * x_norm + (1.0 / smin + 1.0 / a_lo) * rho)
     e3 = 2.0 * gamma(s + 3) * rep.err_l2 + gamma(2) * exact
     assert abs(rep.err_l2 - exact) <= e2 + e3
+
+
+@pytest.mark.parametrize("r", [0, 1, 2, 3])
+def test_sigma_min_sq_bracket_holds_the_exact_eigenvalue(r):
+    # A = D^{-r} D^r E = E with orthogonal columns of norms 2 and 3
+    e = np.zeros((6, 2))
+    e[1, 0], e[4, 1] = 2.0, 3.0
+    lo, hi = sigma_min_sq_bracket(np.linalg.matrix_power(difference_matrix(6), r) @ e, r)
+    assert lo < 4 <= hi and hi - lo <= hi * 2**-40
+    # G = [[1, 1], [1, 2]]: lambda_min = (3 - sqrt 5) / 2 < 1 is the smaller
+    # root of p(x) = x^2 - 3x + 1, so p(lo) > 0 >= p(hi) on [0, 1]
+    lo, hi = sigma_min_sq_bracket(np.array([[1.0, 1.0], [0.0, 1.0]]), 0)
+    assert 0 <= lo < hi <= 1 and lo * lo - 3 * lo + 1 > 0 >= hi * hi - 3 * hi + 1
+    with pytest.raises(ValueError, match="dependent columns"):
+        sigma_min_sq_bracket(np.ones((5, 2)), r)
+    # a random A formed in floating point: sigma_min^2 agrees to rounding
+    phi_t = RngStream(r).normals(40 * 3).reshape(40, 3)
+    lo, hi = sigma_min_sq_bracket(phi_t, r)
+    sv = np.linalg.svd(difference._apply_power(phi_t, r), compute_uv=False)
+    assert abs(sv[-1] ** 2 / float(hi) - 1.0) <= 1e-9
+
+
+@pytest.mark.parametrize("kind", ["gaussian", "rademacher", "column-model"])
+@pytest.mark.parametrize("r", [1, 2, 3])
+@settings(derandomize=True, max_examples=10, deadline=None)
+@given(m=st.integers(16, 128), seed=st.integers(0, 2**32 - 1))
+def test_criterion_3_holds_in_exact_arithmetic(kind, r, m, seed):
+    """On a correct support T, the exact dual reconstruction x* of the
+    stored doubles (oracles.sobolev_exact) obeys criterion 3's bound with no
+    rounding margin: err*^2 <= delta^2 m / (4 lambda_hi), where err* =
+    ||x_T - x*|| and lambda_hi >= sigma_min(D^{-r} Phi_T)^2 is the upper end
+    of the exact bracket (oracles.sigma_min_sq_bracket).  Taking the upper
+    end makes the check no weaker than the bound: a bracket too wide could
+    only fail it.  Every quantity is a Fraction."""
+    n, s, delta, alpha = 32, 3, 0.01, 0.7
+    ensemble = Ensemble(kind)
+    rep = full_pipeline(ensemble, n, s, m, r, delta, alpha, RngStream(seed))
+    assume(rep.support_correct)
+    sig, phi = draw_instance(ensemble, n, s, m, r, delta, RngStream(seed))
+    phi_t = phi[:, sig.support]
+    q = sigma_delta_quantize(phi @ sig.to_dense(), QuantizerConfig(r=r, delta=delta)).q
+    x_star, _ = sobolev_exact(phi_t, q, r)
+    err_sq = sum((Fraction(float(v)) - x) ** 2 for v, x in zip(sig.values, x_star))
+    _, lam_hi = sigma_min_sq_bracket(phi_t, r)
+    assert err_sq <= Fraction(delta) ** 2 * m / (4 * lam_hi)
 
 
 def test_projection_dim():

@@ -417,22 +417,33 @@ def helper_first(monkeypatch, fail_first: bool):
     return draws, next_draw
 
 
-def run_in_thread(fn, timeout=60.0):
-    """fn() in a thread of its own, so that a stall fails the test."""
-    errors = []
+def start_thread(fn):
+    """Start fn() in a thread of its own; returns (worker, finish), where
+    finish(timeout) joins it, fails the test on a stall and returns fn's
+    result or raises its error."""
+    result, errors = [], []
 
     def target():
         try:
-            fn()
-        except BaseException as exc:  # reported by the caller
+            result.append(fn())
+        except BaseException as exc:  # reported by finish
             errors.append(exc)
+
+    def finish(timeout=60.0):
+        worker.join(timeout)
+        assert not worker.is_alive(), "the draw stalled"
+        if errors:
+            raise errors[0]
+        return result[0]
 
     worker = threading.Thread(target=target, daemon=True)
     worker.start()
-    worker.join(timeout)
-    assert not worker.is_alive(), "the draw stalled"
-    if errors:
-        raise errors[0]
+    return worker, finish
+
+
+def run_in_thread(fn, timeout=60.0):
+    """fn() in a thread of its own, so that a stall fails the test."""
+    return start_thread(fn)[1](timeout)
 
 
 def test_helper_failure_reaches_the_caller_and_the_helper_recovers(monkeypatch):
@@ -577,6 +588,46 @@ def test_unclaimed_prefetch_is_released(monkeypatch, release, finished):
     c = s.counter
     draw(s, 31, n)
     assert s.counter == c + 2 * n
+    assert pending() is None
+
+
+@pytest.mark.parametrize("dropper", ["normals", "new prefetch", "cancel"])
+def test_a_dropped_draw_is_never_returned(monkeypatch, dropper):
+    # The helper is held inside the first block of stream 11's prefetch
+    # while one thread drops that draw and another then asks for it: the
+    # asking thread must not join the dropped draw, and every array
+    # returned is the stream's.
+    monkeypatch.setattr(rng_module, "_usable_cpus", lambda: 2)
+    n = 4 * _NORMAL_BLOCK
+    real = rng_module._box_muller_into
+    entered, release = threading.Event(), threading.Event()
+
+    def held(begin, steps, out, *buffers):
+        if threading.current_thread().name == "sdcs-normals" and not entered.is_set():
+            entered.set()
+            assert release.wait(60.0)
+        real(begin, steps, out, *buffers)
+
+    monkeypatch.setattr(rng_module, "_box_muller_into", held)
+    drops = {"normals": lambda: RngStream(12).normals(n),
+             "new prefetch": lambda: RngStream(12).prefetch_normals(n),
+             "cancel": rng_module.cancel_prefetch}
+    try:
+        RngStream(11).prefetch_normals(n)
+        job = pending()
+        assert entered.wait(30.0)
+        _, finish_drop = start_thread(drops[dropper])
+        assert wait_until(lambda: job.stop == job.next)  # the dropper cut the draw
+        asker, finish_ask = start_thread(lambda: RngStream(11).normals(n))
+        assert wait_until(lambda: job.joined or not asker.is_alive())
+    finally:
+        release.set()
+    dropped = finish_drop()
+    if dropper == "normals":
+        assert dropped.tobytes() == box_muller_reference(12, 0, n).tobytes()
+    got = finish_ask()
+    assert isinstance(got, np.ndarray) and got.tobytes() == box_muller_reference(11, 0, n).tobytes()
+    assert not job.joined
     assert pending() is None
 
 
